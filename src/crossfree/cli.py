@@ -28,14 +28,12 @@ from .chains import (
 from .constructions import gen_cyclic_intervals, gen_laminar_max, gen_random_cross_free
 from .crossing import dilworth_partition, find_pairwise_crossing_witness
 from .families import (
-    FamilyFormatError,
     classify_pair,
     format_set,
     parse_family,
     serialize_family,
 )
 from .search import (
-    SearchInfeasibleError,
     bound_table,
     format_table_csv,
     format_table_text,
@@ -43,7 +41,6 @@ from .search import (
 )
 from .tree import (
     ExtractionError,
-    MalformedTreeError,
     build_tree,
     extract_k_crossing_from_tree,
     prune_root_children,
@@ -247,12 +244,7 @@ def cmd_tree_build(args) -> int:
 
 def cmd_tree_prune(args) -> int:
     tree = tree_from_json(_read(args.tree))
-    keep = _parse_indices(args.keep)
-    try:
-        pruned = prune_root_children(tree, keep)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    pruned = prune_root_children(tree, _parse_indices(args.keep))
     sys.stdout.write(tree_to_json(pruned))
     return 0
 
@@ -409,13 +401,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FamilyFormatError, MalformedTreeError, SearchInfeasibleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
+        # Format, tree, search-size and JSON errors all subclass ValueError;
+        # OSError covers unreadable paths such as missing files and directories.
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

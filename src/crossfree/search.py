@@ -113,11 +113,6 @@ def max_cross_free(universe: Family, k: int, mode: str) -> SearchResult:
                 total += min(cnt, max(0, cap - chosen_per_level.get(lvl, 0)))
         return total
 
-    def admissible_extension(chosen_mask: int, v: int) -> bool:
-        # v may join iff its crossing neighbors among chosen hold no
-        # (k-1)-clique.
-        return kernel.find_k_clique_in(adj, chosen_mask & adj[v], k - 1) is None
-
     def search(target: int | None):
         """target=None: maximize. target=m: find lex-least of size m."""
         nonlocal nodes
@@ -126,7 +121,7 @@ def max_cross_free(universe: Family, k: int, mode: str) -> SearchResult:
         chosen: list[int] = []
         chosen_per_level: dict[int, int] = {}
 
-        def dfs(next_v: int, chosen_mask: int, cand: int) -> bool:
+        def dfs(chosen_mask: int, cand: int) -> bool:
             nonlocal best_size, best_sel, nodes
             nodes += 1
             count = len(chosen)
@@ -159,17 +154,17 @@ def max_cross_free(universe: Family, k: int, mode: str) -> SearchResult:
                     new_cand |= l2
             chosen.append(v)
             chosen_per_level[levels[v]] = chosen_per_level.get(levels[v], 0) + 1
-            done = dfs(v + 1, nm, new_cand)
+            done = dfs(nm, new_cand)
             chosen.pop()
             chosen_per_level[levels[v]] -= 1
             if done:
                 return True
             # Exclude v.
-            return dfs(v + 1, chosen_mask, rest)
+            return dfs(chosen_mask, rest)
 
         full = (1 << nverts) - 1
         # Initial candidate filter: singletons are always admissible.
-        dfs(0, 0, full)
+        dfs(0, full)
         return best_size, best_sel
 
     opt, _ = search(None)

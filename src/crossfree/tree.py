@@ -386,6 +386,11 @@ def build_tree(
     target; None is the expected outcome for most desk-scale inputs.
     """
     selected = tuple(selected)
+    for i in selected:
+        if not 0 <= i < len(cc):
+            raise ValueError(f"chain index {i} out of range for {len(cc)} chains")
+    if height < 0:
+        raise ValueError(f"height must be >= 0, got {height}")
     h = cc.uniform_h()
     trace = SelectionTrace(ordering=ordering)
     trees: dict[int, CrossSupportTree] = {
@@ -617,14 +622,26 @@ def tree_to_json(tree: CrossSupportTree) -> str:
     return json.dumps(encode(tree.root), indent=2, sort_keys=True) + "\n"
 
 
+def _is_int(value) -> bool:
+    # JSON true/false decode to bool, which is an int subclass.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def tree_from_json(text: str) -> CrossSupportTree:
     def decode(obj) -> TreeNode:
         if not isinstance(obj, dict) or "chain" not in obj:
             raise MalformedTreeError(f"bad tree node: {obj!r}")
-        return TreeNode(
-            int(obj["chain"]),
-            obj.get("edge_label_from_parent"),
-            tuple(decode(c) for c in obj.get("children", [])),
-        )
+        chain = obj["chain"]
+        label = obj.get("edge_label_from_parent")
+        children = obj.get("children", [])
+        if not _is_int(chain):
+            raise MalformedTreeError(f"chain must be an integer, got {chain!r}")
+        if label is not None and not _is_int(label):
+            raise MalformedTreeError(
+                f"edge_label_from_parent must be an integer or null, got {label!r}"
+            )
+        if not isinstance(children, list):
+            raise MalformedTreeError(f"children must be a list, got {children!r}")
+        return TreeNode(chain, label, tuple(decode(c) for c in children))
 
     return CrossSupportTree(decode(json.loads(text)))

@@ -165,6 +165,48 @@ def test_usage_errors(capsys, tmp_path):
     assert exc.value.code == 2
 
 
+def assert_usage_error(code, err):
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_directory_as_family_path_is_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "check", "--k", "2", str(tmp_path))
+    assert out == ""
+    assert_usage_error(code, err)
+
+
+@pytest.mark.parametrize("indices, height", [("0,7", "1"), ("0,1", "-1")])
+def test_tree_build_rejects_out_of_range_inputs(capsys, indices, height):
+    code, out, err = run(
+        capsys, "tree", "build",
+        "--chains", str(FIXTURES / "chains.txt"), "--ordering", str(FIXTURES / "ordering.txt"),
+        "--indices", indices, "--k", "2", "--height", height, "--branching", "1",
+    )
+    assert out == ""
+    assert_usage_error(code, err)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(f, v) for f in ("chain", "edge_label_from_parent") for v in ("2", 2.0, True)]
+    + [("children", 5)],
+)
+def test_tree_json_rejects_mistyped_fields(capsys, tmp_path, field, value):
+    doc = json.loads((FIXTURES / "tree.json").read_text())
+    doc["children"][0][field] = value
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "tree", "validate",
+        "--chains", str(FIXTURES / "chains.txt"),
+        "--ordering", str(FIXTURES / "ordering.txt"),
+        str(tree),
+    )
+    assert out == ""
+    assert_usage_error(code, err)
+
+
 def test_determinism_byte_identical(capsys):
     first = run(capsys, "gen", "random", "--n", "6", "--k", "3", "--mode", "strict", "--seed", "77")
     second = run(capsys, "gen", "random", "--n", "6", "--k", "3", "--mode", "strict", "--seed", "77")

@@ -1,10 +1,6 @@
 import random
-import subprocess
-import sys
 
-import pytest
-
-from crossfree import _cliquepy, kernel
+from crossfree import kernel
 
 
 def random_adj(rng, n, p):
@@ -20,15 +16,15 @@ def random_adj(rng, n, p):
 def test_python_kernel_basics():
     # triangle plus isolated vertex
     adj = [0b0110, 0b0101, 0b0011, 0]
-    assert _cliquepy.find_k_clique(adj, 3) == (0, 1, 2)
-    assert _cliquepy.find_k_clique(adj, 4) is None
-    assert _cliquepy.find_k_clique(adj, 1) == (0,)
-    assert _cliquepy.find_k_clique(adj, 0) == ()
-    assert _cliquepy.find_k_clique_in(adj, 0b1000, 1) == (3,)
-    assert _cliquepy.find_k_clique_in(adj, 0b1110, 3) is None  # vertex 3 is isolated
-    assert _cliquepy.find_k_clique_in(adj, 0b0110, 2) == (1, 2)
-    assert _cliquepy.has_k_clique_in(adj, 0b0111, 3)
-    assert not _cliquepy.has_k_clique_in(adj, 0b1011, 3)
+    assert kernel.find_k_clique(adj, 3) == (0, 1, 2)
+    assert kernel.find_k_clique(adj, 4) is None
+    assert kernel.find_k_clique(adj, 1) == (0,)
+    assert kernel.find_k_clique(adj, 0) == ()
+    assert kernel.find_k_clique_in(adj, 0b1000, 1) == (3,)
+    assert kernel.find_k_clique_in(adj, 0b1110, 3) is None  # vertex 3 is isolated
+    assert kernel.find_k_clique_in(adj, 0b0110, 2) == (1, 2)
+    assert kernel.find_k_clique_in(adj, 0b0111, 3) == (0, 1, 2)
+    assert kernel.find_k_clique_in(adj, 0b1011, 3) is None
 
 
 def test_lex_least_clique():
@@ -37,7 +33,6 @@ def test_lex_least_clique():
     for a, b in ((0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)):
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-    assert _cliquepy.find_k_clique(adj, 3) == (0, 1, 2)
     assert kernel.find_k_clique(adj, 3) == (0, 1, 2)
 
 
@@ -58,32 +53,6 @@ def test_python_kernel_matches_brute_force():
         adj = random_adj(rng, n, rng.random())
         k = rng.randrange(1, 6)
         cand = rng.getrandbits(n) if n else 0
-        assert _cliquepy.find_k_clique_in(adj, cand, k) == brute_cliques(adj, cand, k)
+        assert kernel.find_k_clique_in(adj, cand, k) == brute_cliques(adj, cand, k)
+        assert kernel.find_k_clique(adj, k) == brute_cliques(adj, (1 << n) - 1, k)
 
-
-@pytest.mark.skipif(kernel.IMPLEMENTATION == "python", reason="compiled kernel unavailable")
-def test_compiled_kernel_agrees_with_python():
-    from crossfree import _cliquec
-
-    rng = random.Random(23)
-    for _ in range(200):
-        n = rng.randrange(0, 90)
-        adj = random_adj(rng, n, rng.random() * 0.6)
-        k = rng.randrange(1, 7)
-        cand = rng.getrandbits(n) if n else 0
-        assert _cliquec.find_k_clique_in(adj, cand, k) == _cliquepy.find_k_clique_in(adj, cand, k)
-        assert _cliquec.find_k_clique(adj, k) == _cliquepy.find_k_clique(adj, k)
-
-
-def test_force_py_env_selects_python_kernel():
-    code = (
-        "import crossfree.kernel as k; print(k.IMPLEMENTATION)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"CROSSFREE_FORCE_PY": "1", "PATH": "/usr/bin:/bin"},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"
