@@ -21,7 +21,9 @@ from .families import (
     GroundSet,
     elements_of,
     format_set,
+    parse_element,
     parse_set_line,
+    split_header,
 )
 
 
@@ -442,36 +444,23 @@ def check_conditions(
 
 def parse_chain_collection(text: str) -> ChainCollection:
     """Family-file header plus one line per chain: 'chain <base>; <x1,...,xh>'."""
-    lines = text.splitlines()
-    ground = None
+    ground, body = split_header(text)
     chains = []
-    for idx, raw in enumerate(lines):
-        lineno = idx + 1
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ground is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "n":
-                raise FamilyFormatError("expected header 'n <int>'", lineno)
-            ground = GroundSet(int(parts[1]))
-            continue
+    for lineno, line in body:
         if not line.startswith("chain "):
             raise FamilyFormatError(f"expected 'chain <base>; <added>', got {line!r}", lineno)
-        body = line[len("chain ") :]
-        if ";" not in body:
+        spec = line[len("chain ") :]
+        if ";" not in spec:
             raise FamilyFormatError("missing ';' between base and added elements", lineno)
-        base_txt, added_txt = (part.strip() for part in body.split(";", 1))
+        base_txt, added_txt = (part.strip() for part in spec.split(";", 1))
         base = parse_set_line(base_txt, ground, lineno)
-        added = []
-        for tok in added_txt.split(","):
-            x = int(tok.strip())
-            if not 0 <= x < ground.n:
-                raise FamilyFormatError(f"element {x} >= n={ground.n}", lineno)
-            added.append(x)
-        chains.append(Chain(base, tuple(added)))
-    if ground is None:
-        raise FamilyFormatError("missing 'n <int>' header")
+        if not added_txt:
+            raise FamilyFormatError("chain has no added elements", lineno)
+        added = tuple(parse_element(tok, ground, lineno) for tok in added_txt.split(","))
+        try:
+            chains.append(Chain(base, added))
+        except ValueError as exc:
+            raise FamilyFormatError(str(exc), lineno) from None
     return ChainCollection(ground, tuple(chains))
 
 

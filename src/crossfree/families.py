@@ -201,6 +201,36 @@ def complement_closure(fam: Family) -> Family:
     return Family(fam.ground, fam.sets + tuple(full & ~m for m in fam.sets))
 
 
+def split_header(text: str) -> tuple[GroundSet, list[tuple[int, str]]]:
+    """Parse the ``n <int>`` header line and return the lines after it.
+
+    Blank lines and ``#`` comment lines are skipped everywhere; each
+    remaining line is returned stripped, with its 1-based line number.
+    """
+    ground = None
+    body = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if ground is not None:
+            body.append((lineno, line))
+            continue
+        parts = line.split()
+        if len(parts) != 2 or parts[0] != "n":
+            raise FamilyFormatError(f"expected header 'n <int>', got {line!r}", lineno)
+        try:
+            n = int(parts[1])
+        except ValueError:
+            raise FamilyFormatError(f"bad ground set size {parts[1]!r}", lineno) from None
+        if not 1 <= n <= MAX_GROUND:
+            raise FamilyFormatError(f"n={n} outside [1, {MAX_GROUND}]", lineno)
+        ground = GroundSet(n)
+    if ground is None:
+        raise FamilyFormatError("missing 'n <int>' header")
+    return ground, body
+
+
 def parse_family(text: str) -> Family:
     """Parse the family file format.
 
@@ -208,35 +238,10 @@ def parse_family(text: str) -> Family:
     ascending 0-based integers, or ``-`` for the empty set. ``#`` starts a
     comment line. Duplicate sets are merged with a warning.
     """
-    lines = text.splitlines()
-    header_idx = None
-    n = None
-    for idx, raw in enumerate(lines):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2 or parts[0] != "n":
-            raise FamilyFormatError(f"expected header 'n <int>', got {line!r}", idx + 1)
-        try:
-            n = int(parts[1])
-        except ValueError:
-            raise FamilyFormatError(f"bad ground set size {parts[1]!r}", idx + 1) from None
-        if not 1 <= n <= MAX_GROUND:
-            raise FamilyFormatError(f"n={n} outside [1, {MAX_GROUND}]", idx + 1)
-        header_idx = idx
-        break
-    if n is None:
-        raise FamilyFormatError("missing 'n <int>' header")
-    ground = GroundSet(n)
-
+    ground, body = split_header(text)
     masks = []
     seen = set()
-    for idx in range(header_idx + 1, len(lines)):
-        lineno = idx + 1
-        line = lines[idx].strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in body:
         mask = parse_set_line(line, ground, lineno)
         if mask in seen:
             warnings.warn(f"duplicate set {format_set(mask)!r} at line {lineno} merged", stacklevel=2)
@@ -246,6 +251,20 @@ def parse_family(text: str) -> Family:
     return Family(ground, tuple(masks))
 
 
+def parse_element(tok: str, ground: GroundSet, lineno=None) -> int:
+    """Parse one ground-set element of a set or chain line."""
+    tok = tok.strip()
+    try:
+        e = int(tok)
+    except ValueError:
+        raise FamilyFormatError(f"malformed set element {tok!r}", lineno) from None
+    if e < 0:
+        raise FamilyFormatError(f"elements must be nonnegative, got {tok}", lineno)
+    if e >= ground.n:
+        raise FamilyFormatError(f"element {e} >= n={ground.n}", lineno)
+    return e
+
+
 def parse_set_line(line: str, ground: GroundSet, lineno=None) -> int:
     """Parse one set: '-' or comma-separated ascending integers."""
     if line == "-":
@@ -253,15 +272,9 @@ def parse_set_line(line: str, ground: GroundSet, lineno=None) -> int:
     mask = 0
     prev = -1
     for tok in line.split(","):
-        tok = tok.strip()
-        try:
-            e = int(tok)
-        except ValueError:
-            raise FamilyFormatError(f"malformed set element {tok!r}", lineno) from None
-        if e < 0 or e <= prev:
-            raise FamilyFormatError(f"elements must be ascending and nonnegative, got {tok}", lineno)
-        if e >= ground.n:
-            raise FamilyFormatError(f"element {e} >= n={ground.n}", lineno)
+        e = parse_element(tok, ground, lineno)
+        if e <= prev:
+            raise FamilyFormatError(f"elements must be ascending, got {e}", lineno)
         prev = e
         mask |= 1 << e
     return mask

@@ -1,10 +1,13 @@
 """Exact maximum k-cross-free subfamily search and bound tables.
 
-The search is a two-phase branch and bound over the canonical vertex order
-of the universe's crossing graph. Phase one computes the optimum size with
-aggressive pruning; phase two re-runs include-first DFS pruned against that
-optimum, so the first full solution it meets is the lexicographically least
-optimum. Both phases are complete, so the result is always proven optimal.
+The search is a single include-first branch and bound over the canonical
+vertex order of the universe's crossing graph, run with an explicit stack of
+(chosen, candidates) bitmask pairs, so no recursion depth grows with the
+universe. A node is pruned unless its upper bound strictly beats the
+incumbent. The subtree holding the first optimum in include-first order is
+therefore never pruned, and later optima of equal size never replace it, so
+the search returns the lexicographically least optimum in one pass. The
+search is complete, so the result is always proven optimal.
 
 Bound-comparison conventions, used everywhere: counts over the all-subsets
 universe include the empty set and the full set; counts over the cyclic
@@ -20,7 +23,7 @@ from math import comb
 from . import kernel
 from .constructions import gen_cyclic_intervals
 from .crossing import crossing_graph, find_pairwise_crossing_witness
-from .families import Family, GroundSet
+from .families import Family, GroundSet, elements_of
 
 MAX_UNIVERSE = 4096
 
@@ -53,28 +56,23 @@ def _level_caps(universe: Family, k: int, mode: str) -> dict[int, int]:
     return caps
 
 
-def _greedy_clique_cover(adj, cand: int):
-    """Disjoint cliques covering cand; greedy from the lowest vertex."""
-    cliques = []
-    m = cand
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        clique = low
-        ext = m & adj[v]
-        while ext:
-            lo2 = ext & -ext
-            u = lo2.bit_length() - 1
-            clique |= lo2
-            ext &= adj[u]
-        m &= ~clique
-        cliques.append(clique)
-    return cliques
-
-
 def _cover_bound(adj, cand: int, k: int) -> int:
-    """Any k-clique-free selection takes at most min(|Q|, k-1) per clique."""
-    return sum(min(q.bit_count(), k - 1) for q in _greedy_clique_cover(adj, cand))
+    """Greedy disjoint clique cover of cand, from the lowest vertex.
+
+    Any k-clique-free selection takes at most min(|Q|, k-1) of each clique Q.
+    """
+    total = 0
+    while cand:
+        low = cand & -cand
+        clique = low
+        ext = cand & adj[low.bit_length() - 1]
+        while ext:
+            bit = ext & -ext
+            clique |= bit
+            ext &= adj[bit.bit_length() - 1]
+        cand &= ~clique
+        total += min(clique.bit_count(), k - 1)
+    return total
 
 
 def max_cross_free(universe: Family, k: int, mode: str) -> SearchResult:
@@ -91,89 +89,53 @@ def max_cross_free(universe: Family, k: int, mode: str) -> SearchResult:
     graph = crossing_graph(universe, mode)
     adj = graph.adj
     sets = universe.sets
-    nverts = len(sets)
     caps = _level_caps(universe, k, mode)
-    levels = tuple(m.bit_count() for m in sets)
-    nodes = 0
+    level_masks: dict[int, int] = {}
+    for v, m in enumerate(sets):
+        lvl = m.bit_count()
+        level_masks[lvl] = level_masks.get(lvl, 0) | 1 << v
+    capped = tuple((mask, caps[lvl]) for lvl, mask in level_masks.items() if lvl in caps)
+    # Level masks are disjoint, so their sum is their union.
+    uncapped = sum(mask for lvl, mask in level_masks.items() if lvl not in caps)
 
-    def level_bound(chosen_per_level, cand: int) -> int:
-        total = 0
-        avail: dict[int, int] = {}
-        m = cand
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            avail[levels[v]] = avail.get(levels[v], 0) + 1
-        for lvl, cnt in avail.items():
-            cap = caps.get(lvl)
-            if cap is None:
-                total += cnt
-            else:
-                total += min(cnt, max(0, cap - chosen_per_level.get(lvl, 0)))
+    def level_bound(chosen: int, cand: int) -> int:
+        total = (cand & uncapped).bit_count()
+        for mask, cap in capped:
+            total += min((cand & mask).bit_count(), max(0, cap - (chosen & mask).bit_count()))
         return total
 
-    def search(target: int | None):
-        """target=None: maximize. target=m: find lex-least of size m."""
-        nonlocal nodes
-        best_size = -1
-        best_sel: tuple[int, ...] = ()
-        chosen: list[int] = []
-        chosen_per_level: dict[int, int] = {}
+    best_size = -1
+    best_mask = 0
+    nodes = 0
+    stack = [(0, (1 << len(sets)) - 1)]
+    while stack:
+        chosen, cand = stack.pop()
+        nodes += 1
+        count = chosen.bit_count()
+        if count + min(_cover_bound(adj, cand, k), level_bound(chosen, cand)) <= best_size:
+            continue
+        if not cand:
+            best_size, best_mask = count, chosen
+            continue
+        low = cand & -cand
+        rest = cand ^ low
+        included = chosen | low
+        kept = 0
+        m = rest
+        while m:
+            bit = m & -m
+            m ^= bit
+            if kernel.find_k_clique_in(adj, included & adj[bit.bit_length() - 1], k - 1) is None:
+                kept |= bit
+        # Pushed last, the include child is explored first.
+        stack.append((chosen, rest))
+        stack.append((included, kept))
 
-        def dfs(chosen_mask: int, cand: int) -> bool:
-            nonlocal best_size, best_sel, nodes
-            nodes += 1
-            count = len(chosen)
-            ub = count + min(
-                _cover_bound(adj, cand, k), level_bound(chosen_per_level, cand)
-            )
-            if target is None:
-                if ub <= best_size:
-                    return False
-            else:
-                if ub < target:
-                    return False
-            if not cand:
-                if count > best_size:
-                    best_size = count
-                    best_sel = tuple(chosen)
-                return target is not None and count >= target
-            low = cand & -cand
-            v = low.bit_length() - 1
-            rest = cand ^ low
-            # Include v.
-            new_cand = 0
-            m = rest
-            nm = chosen_mask | low
-            while m:
-                l2 = m & -m
-                u = l2.bit_length() - 1
-                m ^= l2
-                if kernel.find_k_clique_in(adj, nm & adj[u], k - 1) is None:
-                    new_cand |= l2
-            chosen.append(v)
-            chosen_per_level[levels[v]] = chosen_per_level.get(levels[v], 0) + 1
-            done = dfs(nm, new_cand)
-            chosen.pop()
-            chosen_per_level[levels[v]] -= 1
-            if done:
-                return True
-            # Exclude v.
-            return dfs(chosen_mask, rest)
-
-        full = (1 << nverts) - 1
-        # Initial candidate filter: singletons are always admissible.
-        dfs(0, full)
-        return best_size, best_sel
-
-    opt, _ = search(None)
-    _, sel = search(opt)
-    best = Family(universe.ground, tuple(sets[i] for i in sel))
-    assert len(best) == opt
-    assert find_pairwise_crossing_witness(best, k, mode) is None if opt >= k else True
+    best = Family(universe.ground, tuple(sets[v] for v in elements_of(best_mask)))
+    assert len(best) == best_size
+    assert find_pairwise_crossing_witness(best, k, mode) is None if best_size >= k else True
     elapsed = time.perf_counter() - start
-    return SearchResult(best, opt, True, nodes, elapsed)
+    return SearchResult(best, best_size, True, nodes, elapsed)
 
 
 def brute_force_max(universe: Family, k: int, mode: str) -> int:

@@ -644,4 +644,7 @@ def tree_from_json(text: str) -> CrossSupportTree:
             raise MalformedTreeError(f"children must be a list, got {children!r}")
         return TreeNode(chain, label, tuple(decode(c) for c in children))
 
-    return CrossSupportTree(decode(json.loads(text)))
+    try:
+        return CrossSupportTree(decode(json.loads(text)))
+    except RecursionError:
+        raise MalformedTreeError("tree JSON is nested too deeply") from None

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
@@ -152,6 +153,13 @@ def test_search_and_table(capsys, tmp_path):
     assert out.splitlines()[1] == "3,2,all,weak,6,6,laminar 2n,yes"
 
 
+def test_search_universe_deeper_than_recursion_limit(capsys, tmp_path):
+    pairs = islice(combinations(range(64), 2), 1100)
+    fam = write_family(tmp_path, "n 64\n" + "".join(f"{a},{b}\n" for a, b in pairs))
+    code, out, _ = run(capsys, "search", "--k", "200", fam)
+    assert code == 0 and "size: 1100" in out
+
+
 def test_usage_errors(capsys, tmp_path):
     bad = write_family(tmp_path, "n 2\n5\n")
     code, _, err = run(capsys, "check", "--k", "2", bad)
@@ -205,6 +213,44 @@ def test_tree_json_rejects_mistyped_fields(capsys, tmp_path, field, value):
     )
     assert out == ""
     assert_usage_error(code, err)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["prune", "--keep", "0"],
+        [
+            "validate",
+            "--chains", str(FIXTURES / "chains.txt"),
+            "--ordering", str(FIXTURES / "ordering.txt"),
+        ],
+    ],
+)
+def test_deeply_nested_tree_json_is_usage_error(capsys, tmp_path, command):
+    depth = 1500
+    tree = tmp_path / "tree.json"
+    tree.write_text('{"chain": 0, "children": [' * depth + '{"chain": 0}' + "]}" * depth)
+    code, out, err = run(capsys, "tree", *command, str(tree))
+    assert out == "" and "Traceback" not in err
+    assert_usage_error(code, err)
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("n 4\nchain 0;\n", 2),
+        ("n 4\n# comment\nchain 0; x\n", 3),
+        ("n x\nchain 0; 1\n", 1),
+        ("n 65\n", 1),
+        ("n 4\nchain 0; 0\n", 2),
+    ],
+)
+def test_chain_file_errors_name_the_line(capsys, tmp_path, text, lineno):
+    chains = write_family(tmp_path, text, "chains.txt")
+    code, out, err = run(capsys, "chains", "select", "--k", "2", "--seed", "1", chains)
+    assert out == ""
+    assert_usage_error(code, err)
+    assert f"at line {lineno}\n" in err
 
 
 def test_determinism_byte_identical(capsys):

@@ -1,10 +1,13 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossfree.constructions import gen_cyclic_intervals
 from crossfree.crossing import find_pairwise_crossing_witness
-from crossfree.families import Family, GroundSet
+from crossfree.families import Family, GroundSet, crosses
 from crossfree.search import (
     SearchInfeasibleError,
     bound_table,
@@ -70,6 +73,38 @@ def test_lexicographically_least_optimum():
     # pairwise non-crossing and lex-precede most 2-sets in canonical order).
     non_pairs = [m for m in all_subsets(4).sets if m.bit_count() != 2]
     assert all(m in result.best for m in non_pairs)
+
+
+def lex_least_optimum(fam, k, mode):
+    """First witness-free subfamily in combinations order, largest size first."""
+    sets = fam.sets
+    crossing = {
+        pair for pair in combinations(range(len(sets)), 2)
+        if crosses(sets[pair[0]], sets[pair[1]], fam.ground, mode)
+    }
+    for size in range(len(sets), -1, -1):
+        for combo in combinations(range(len(sets)), size):
+            if not any(
+                all(pair in crossing for pair in combinations(group, 2))
+                for group in combinations(combo, k)
+            ):
+                return tuple(sets[i] for i in combo)
+
+
+@st.composite
+def small_universes(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    masks = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=10))
+    k = draw(st.sampled_from([2, 3]))
+    mode = draw(st.sampled_from(["strict", "weak"]))
+    return Family(GroundSet(n), tuple(masks)), k, mode
+
+
+@settings(deadline=None)
+@given(small_universes())
+def test_best_is_lexicographically_least_optimum(case):
+    fam, k, mode = case
+    assert max_cross_free(fam, k, mode).best.sets == lex_least_optimum(fam, k, mode)
 
 
 def test_monotone_in_k():
