@@ -103,8 +103,7 @@ def cmd_check(args) -> int:
 def cmd_classify(args) -> int:
     fam = parse_family(_read(args.family))
     if len(fam) != 2:
-        print(f"classify needs exactly 2 distinct sets, got {len(fam)}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"classify needs exactly 2 distinct sets, got {len(fam)}")
     a, b = fam.sets
     rel = classify_pair(a, b, fam.ground)
     if args.format == "json":
@@ -380,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exact maximum k-cross-free subfamily")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=("strict", "weak"), default="strict")
-    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; search runs sequentially")
     _add_format(p)
     p.add_argument("family")
     p.set_defaults(func=cmd_search)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import ceil
 
 from . import kernel
-from .families import Family, GroundSet, PairRelation, classify_pair, crosses
+from .families import Family, GroundSet, crosses, elements_of
 
 MODES = ("strict", "weak")
 
@@ -102,26 +102,32 @@ def _max_bipartite_matching(n: int, succ: list[int]) -> list[int]:
     """Kuhn's algorithm on left/right copies of 0..n-1; succ[i] is a bitmask.
 
     Returns match_right: for each right vertex, its matched left vertex or -1.
-    Deterministic: left vertices processed ascending, neighbors ascending.
+    Each root's augmenting-path DFS is a loop over an explicit alternating
+    path: path[i] is a left vertex and via[i] the right vertex leading from
+    it to path[i + 1]. visited is a right-vertex bitmask per root, and every
+    scanned right vertex is marked, so succ[u] & ~visited is what u has left
+    to try. Deterministic: left vertices processed ascending, neighbors
+    ascending.
     """
     match_right = [-1] * n
-
-    def try_augment(u: int, visited: list[bool]) -> bool:
-        m = succ[u]
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            if visited[v]:
+    for root in range(n):
+        path, via, visited = [root], [], 0
+        while path:
+            m = succ[path[-1]] & ~visited
+            if not m:
+                path.pop()  # dead end: back up to the previous left vertex
+                if via:
+                    via.pop()
                 continue
-            visited[v] = True
-            if match_right[v] == -1 or try_augment(match_right[v], visited):
-                match_right[v] = u
-                return True
-        return False
-
-    for u in range(n):
-        try_augment(u, [False] * n)
+            low = m & -m
+            visited |= low
+            v = low.bit_length() - 1
+            via.append(v)
+            if match_right[v] == -1:
+                for u, w in zip(path, via):
+                    match_right[w] = u
+                break
+            path.append(match_right[v])
     return match_right
 
 
@@ -157,31 +163,23 @@ def dilworth_partition(fam: Family) -> ChainDecomposition:
     chains.sort(key=lambda c: (c[0].bit_count(), c[0]))
 
     # Koenig cover: alternating reachability from unmatched left vertices.
-    unmatched_left = [u for u in range(n) if match_left[u] == -1]
-    seen_left = [False] * n
-    seen_right = [False] * n
-    stack = list(unmatched_left)
-    for u in stack:
-        seen_left[u] = True
+    # A reached matched left vertex w entered through its own matched right
+    # vertex, already seen, so masking out seen_right keeps paths alternating.
+    stack = [u for u in range(n) if match_left[u] == -1]
+    seen_left = sum(1 << u for u in stack)
+    seen_right = 0
     while stack:
-        u = stack.pop()
-        m = succ[u]
+        m = succ[stack.pop()] & ~seen_right
+        seen_right |= m
         while m:
             low = m & -m
-            v = low.bit_length() - 1
             m ^= low
-            if v == match_left[u]:
-                continue  # alternating paths leave the left side on non-matching edges
-            if not seen_right[v]:
-                seen_right[v] = True
-                w = match_right[v]
-                if w != -1 and not seen_left[w]:
-                    seen_left[w] = True
-                    stack.append(w)
+            w = match_right[low.bit_length() - 1]
+            if w != -1 and not seen_left >> w & 1:
+                seen_left |= 1 << w
+                stack.append(w)
     # Cover = (left not reached) + (right reached); antichain = uncovered elems.
-    antichain = tuple(
-        sets[i] for i in range(n) if seen_left[i] and not seen_right[i]
-    )
+    antichain = tuple(sets[i] for i in elements_of(seen_left & ~seen_right))
     dec = ChainDecomposition(tuple(chains), antichain)
     assert len(dec.chains) == len(antichain), "Dilworth duality violated"
     return dec

@@ -1,13 +1,17 @@
 """Clique search kernel over int-bitmask adjacency.
 
 The graph is given as ``adj``: a sequence where ``adj[v]`` is the bitmask of
-neighbors of v. Vertices are explored in ascending index order, so the first
-k-clique found by the DFS is the lexicographically least one (as a sorted
-index tuple). Pruning uses a greedy coloring bound, which only discards
-branches that cannot contain a k-clique, so the lex-least contract survives.
+neighbors of v. The search is an include-first DFS over an explicit stack of
+(clique, candidates, need) entries, so no recursion depth grows with k or
+with the graph. Each step branches on the lowest candidate vertex, so the
+first k-clique found is the lexicographically least one (as a sorted index
+tuple). Pruning uses a greedy coloring bound, which only discards branches
+that cannot contain a k-clique, so the lex-least contract survives.
 """
 
 from __future__ import annotations
+
+from .families import elements_of
 
 IMPLEMENTATION = "python"
 
@@ -42,32 +46,18 @@ def _search(adj, cand: int, k: int):
     Neither public function calls the other, so a wrapper installed on one
     of them sees exactly the calls made to it.
     """
-    if k <= 0:
-        return ()
-    stack = []
-
-    def dfs(cand: int, need: int) -> bool:
-        if need == 0:
-            return True
-        if cand.bit_count() < need:
-            return False
-        if need > 2 and _color_bound(adj, cand, need) < need:
-            return False
-        c = cand
-        while c:
-            low = c & -c
-            v = low.bit_length() - 1
-            c ^= low
-            if c.bit_count() + 1 < need:
-                return False
-            stack.append(v)
-            if dfs(adj[v] & c, need - 1):
-                return True
-            stack.pop()
-        return False
-
-    if dfs(cand, k):
-        return tuple(stack)
+    stack = [(0, cand, k)]
+    while stack:
+        clique, cand, need = stack.pop()
+        if need <= 0:
+            return elements_of(clique)
+        if cand.bit_count() < need or (need > 2 and _color_bound(adj, cand, need) < need):
+            continue
+        low = cand & -cand
+        rest = cand ^ low
+        # Pushed last, the include child is explored first.
+        stack.append((clique, rest, need))
+        stack.append((clique | low, rest & adj[low.bit_length() - 1], need - 1))
     return None
 
 

@@ -7,6 +7,7 @@ import pytest
 from crossfree.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "crosstree"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -46,6 +47,7 @@ def test_classify(capsys, tmp_path):
     one = write_family(tmp_path, "n 4\n0,1\n", "one.txt")
     code, _, err = run(capsys, "classify", one)
     assert code == 2 and "exactly 2" in err
+    assert err.startswith("error: ")
 
 
 def test_decompose(capsys, tmp_path):
@@ -55,6 +57,16 @@ def test_decompose(capsys, tmp_path):
     code, out, _ = run(capsys, "decompose", "--format", "json", fam)
     doc = json.loads(out)
     assert len(doc["chains"]) == 1 and len(doc["max_antichain"]) == 1
+
+
+def test_decompose_matches_golden(capsys, tmp_path):
+    n = 7
+    fam = write_family(tmp_path, f"n {n}\n" + "".join(
+        (",".join(str(e) for e in range(n) if m >> e & 1) or "-") + "\n" for m in range(1 << n)
+    ))
+    code, out, _ = run(capsys, "decompose", fam)
+    assert code == 0
+    assert out == (GOLDEN / "decompose_all_n7.txt").read_text()
 
 
 def test_gen_check_pipeline(capsys, tmp_path):
@@ -145,7 +157,7 @@ def test_tree_build(capsys, tmp_path):
 
 def test_search_and_table(capsys, tmp_path):
     fam = write_family(tmp_path, "n 4\n" + "\n".join("-" if m == 0 else ",".join(str(e) for e in range(4) if m >> e & 1) for m in range(16)))
-    code, out, _ = run(capsys, "search", "--k", "2", "--mode", "strict", "--threads", "4", fam)
+    code, out, _ = run(capsys, "search", "--k", "2", "--mode", "strict", fam)
     assert code == 0 and "size: 12" in out
 
     code, out, _ = run(capsys, "table", "--n", "3..4", "--k", "2", "--universe", "all", "--mode", "weak", "--format", "csv")

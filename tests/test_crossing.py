@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -127,6 +129,19 @@ def test_dilworth_matches_brute_force():
         members = [m for chain in dec.chains for m in chain]
         assert sorted(members) == sorted(fam.sets)
         assert len(dec.chains) == brute_force_max_antichain(fam.sets)
+
+
+def test_dilworth_deeper_than_recursion_limit():
+    # All 512 subsets of a 9-set need augmenting paths far longer than the
+    # headroom left here; the chain count is the middle binomial C(9, 4).
+    fam = Family(GroundSet(9), tuple(range(1 << 9)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        dec = dilworth_partition(fam)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(dec.chains) == len(dec.max_antichain) == 126
 
 
 def test_greedy_independent_set_trivial_graphs():

@@ -56,3 +56,9 @@ def test_python_kernel_matches_brute_force():
         assert kernel.find_k_clique_in(adj, cand, k) == brute_cliques(adj, cand, k)
         assert kernel.find_k_clique(adj, k) == brute_cliques(adj, (1 << n) - 1, k)
 
+
+def test_complete_graph_deeper_than_recursion_limit():
+    n = 1100
+    full = (1 << n) - 1
+    adj = [full ^ (1 << v) for v in range(n)]
+    assert kernel.find_k_clique(adj, n) == tuple(range(n))
