@@ -116,43 +116,29 @@ def successor_graph(fam: Family) -> SuccessorGraph:
 
 @dataclass(frozen=True)
 class Chain:
-    """Continuous chain base < base+{x1} < ... < base+{x1..xh}."""
+    """Continuous chain base < base+{x1} < ... < base+{x1..xh}.
+
+    ``members`` (base first) and ``support_mask`` (the added elements) are
+    computed once, on construction.
+    """
 
     base: int
     added: tuple[int, ...]
 
     def __post_init__(self):
+        members = [self.base]
         m = self.base
         for x in self.added:
             if m >> x & 1:
                 raise ValueError(f"added element {x} already present")
             m |= 1 << x
-        if len(set(self.added)) != len(self.added):
-            raise ValueError("added elements repeat")
+            members.append(m)
+        object.__setattr__(self, "members", tuple(members))
+        object.__setattr__(self, "support_mask", m & ~self.base)
 
     @property
     def h(self) -> int:
         return len(self.added)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return self.added
-
-    @property
-    def support_mask(self) -> int:
-        m = 0
-        for x in self.added:
-            m |= 1 << x
-        return m
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        out = [self.base]
-        m = self.base
-        for x in self.added:
-            m |= 1 << x
-            out.append(m)
-        return tuple(out)
 
     @property
     def top(self) -> int:
@@ -162,12 +148,7 @@ class Chain:
         """Largest member not containing x, defined for x in the support."""
         if not self.support_mask >> x & 1:
             raise KeyError(f"element {x} not in chain support")
-        m = self.base
-        for y in self.added:
-            if y == x:
-                return m
-            m |= 1 << y
-        raise AssertionError("unreachable")
+        return self.members[self.added.index(x)]
 
     def size_range(self) -> tuple[int, int]:
         lo = self.base.bit_count()
@@ -233,45 +214,37 @@ def extract_disjoint_chains(fam: Family, h: int) -> ChainCollection:
     """Greedy maximal collection of vertex-disjoint continuous chains.
 
     Repeatedly takes the lexicographically least available directed path of
-    length h in the successor graph (by canonical indices). Greedy maximal,
-    not maximum; the residual graph has no further length-h path.
+    length h in the successor graph (by canonical indices), found by an
+    explicit-stack depth-first search that remembers dead ends. Greedy
+    maximal, not maximum; the residual graph has no further length-h path.
     """
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
-    graph = successor_graph(fam)
-    out = graph.out_edges
+    out = successor_graph(fam).out_edges
     n = len(fam)
-    used = [False] * n
+    # closed[j]: j is on a taken chain, or no long enough path of open
+    # vertices starts at j. Starts come in canonical (ascending size) order,
+    # so a later start never needs a shorter path from j: dead ends stay dead.
+    closed = [False] * n
     chains = []
-
-    def least_path_from(start: int):
-        path = [start]
-
-        def extend() -> bool:
-            if len(path) == h + 1:
-                return True
-            for j in out[path[-1]]:
-                if not used[j] and j not in path:
-                    path.append(j)
-                    if extend():
-                        return True
-                    path.pop()
-            return False
-
-        return path if extend() else None
-
-    while True:
-        found = None
-        for s in range(n):
-            if used[s]:
-                continue
-            found = least_path_from(s)
-            if found:
-                break
+    for s in range(n):
+        if closed[s]:
+            continue
+        # Successor edges strictly grow the set, so a path never repeats a
+        # vertex; the first complete path in this order is the least one.
+        found, nexts = [s], [iter(out[s])]
+        while found and len(found) <= h:
+            j = next((j for j in nexts[-1] if not closed[j]), None)
+            if j is None:
+                closed[found.pop()] = True
+                nexts.pop()
+            else:
+                found.append(j)
+                nexts.append(iter(out[j]))
         if not found:
-            break
+            continue
         for i in found:
-            used[i] = True
+            closed[i] = True
         base = fam.sets[found[0]]
         added = []
         m = base
@@ -285,13 +258,9 @@ def extract_disjoint_chains(fam: Family, h: int) -> ChainCollection:
 
 @dataclass
 class SelectionTrace:
-    """Intermediate data of the conditioned-selection and tree-builder runs."""
+    """Chain-index sets after each selection stage: I0, I1, I2, I3 and I."""
 
-    chains_per_element: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    ordering: Ordering | None = None
     stage_sets: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    conflict_edge_count: int = 0
-    builder_levels: list[dict] = field(default_factory=list)
 
 
 def select_conditioned_chains(
@@ -323,26 +292,24 @@ def select_conditioned_chains(
         dec = dilworth_partition(Family(cc.ground, tuple(tops)))
         pick = rng.randrange(len(dec.chains))
         chosen_chain[x] = frozenset(dec.chains[pick])
-        trace.chains_per_element[x] = dec.chains[pick]
     i1 = tuple(
         i
         for i in all_idx
         if all(
             cc.chains[i].member_below(x) | 1 << x in chosen_chain[x]
-            for x in cc.chains[i].support
+            for x in cc.chains[i].added
         )
     )
     trace.stage_sets["I1"] = i1
 
     # Stage 2 (C2): random total order; keep chains added in increasing order.
     ordering = Ordering.random(n, rng)
-    trace.ordering = ordering
     i2 = tuple(
         i
         for i in i1
         if all(
             ordering.before(x, y)
-            for x, y in zip(cc.chains[i].support, cc.chains[i].support[1:])
+            for x, y in zip(cc.chains[i].added, cc.chains[i].added[1:])
         )
     )
     trace.stage_sets["I2"] = i2
@@ -359,7 +326,6 @@ def select_conditioned_chains(
                 if lo_i <= hi_j and lo_j <= hi_i:
                     adj[a] |= 1 << b
                     adj[b] |= 1 << a
-    trace.conflict_edge_count = sum(m.bit_count() for m in adj) // 2
     i3 = tuple(i2[a] for a in greedy_independent_set_adj(adj))
     trace.stage_sets["I3"] = i3
 
@@ -423,7 +389,7 @@ def check_conditions(
                 lo_j, hi_j = cj.size_range()
                 if lo_i <= hi_j and lo_j <= hi_i:
                     v3.append(f"chains {i},{j}: member sizes interleave")
-        for x, y in zip(ci.support, ci.support[1:]):
+        for x, y in zip(ci.added, ci.added[1:]):
             if not ordering.before(x, y):
                 v2.append(f"chain {i}: added {x} before {y} against the ordering")
         if ci.base.bit_count() < min_size_multiplier * k * h:

@@ -16,7 +16,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .chains import Chain, ChainCollection, Ordering, SelectionTrace
+from .chains import Chain, ChainCollection, Ordering
 from .crossing import Witness, dilworth_partition
 from .families import Family, GroundSet, format_set, mask_of
 
@@ -45,15 +45,14 @@ class CrossSupportTree:
     root: TreeNode
 
     def nodes(self):
-        """(path, node, parent) triples in preorder; paths are child-index tuples."""
+        """(path, node) pairs in preorder; paths are child-index tuples."""
         out = []
-
-        def walk(node: TreeNode, path: tuple[int, ...], parent: TreeNode | None):
-            out.append((path, node, parent))
-            for idx, child in enumerate(node.children):
-                walk(child, path + (idx,), node)
-
-        walk(self.root, (), None)
+        stack = [((), self.root)]
+        while stack:
+            path, node = stack.pop()
+            out.append((path, node))
+            for idx in range(len(node.children) - 1, -1, -1):
+                stack.append((path + (idx,), node.children[idx]))
         return out
 
     def height(self) -> int:
@@ -63,12 +62,6 @@ class CrossSupportTree:
             node = node.children[0]
             depth += 1
         return depth
-
-    def node_at(self, path) -> TreeNode:
-        node = self.root
-        for idx in path:
-            node = node.children[idx]
-        return node
 
 
 @dataclass(frozen=True)
@@ -99,17 +92,9 @@ class TreeReport:
         }
 
 
-def _phi(node: TreeNode) -> int | None:
-    return node.edge_label
-
-
-def _support_of(cc: ChainCollection, node: TreeNode) -> int:
-    return cc.chains[node.chain].support_mask
-
-
 def _s_value(cc: ChainCollection, node: TreeNode) -> int | None:
     """S_v = largest member of v's chain not containing the parent label."""
-    phi = _phi(node)
+    phi = node.edge_label
     if phi is None:
         return None
     chain = cc.chains[node.chain]
@@ -131,18 +116,17 @@ def validate_tree(tree: CrossSupportTree, cc: ChainCollection, ordering: Orderin
     n = cc.ground.n
 
     infos = tree.nodes()
-    by_path = {path: node for path, node, _ in infos}
-    parents = {path: parent for path, node, parent in infos}
+    by_path = dict(infos)
 
     # Structural checks.
-    for path, node, _parent in infos:
+    for path, node in infos:
         if not 0 <= node.chain < len(cc):
             malformed.append(f"node {path}: dangling chain index {node.chain}")
         if path and node.edge_label is None:
             malformed.append(f"node {path}: missing parent edge label")
         if not path and node.edge_label is not None:
             malformed.append("root must not carry a parent edge label")
-    leaf_depths = {len(path) for path, node, _ in infos if node.is_leaf}
+    leaf_depths = {len(path) for path, node in infos if node.is_leaf}
     if len(leaf_depths) > 1:
         malformed.append(f"not perfect: leaf depths {sorted(leaf_depths)}")
     if malformed:
@@ -153,14 +137,14 @@ def validate_tree(tree: CrossSupportTree, cc: ChainCollection, ordering: Orderin
         )
 
     # T1: labels are valid chain indices and ground elements.
-    for path, node, _ in infos:
+    for path, node in infos:
         if path and not 0 <= node.edge_label < n:
             violations["T1"].append(f"node {path}: edge label {node.edge_label} outside ground set")
 
     # T2: incident edge labels lie in the node's support; child labels
     # strictly decrease left to right under the ordering.
-    for path, node, parent in infos:
-        support = _support_of(cc, node)
+    for path, node in infos:
+        support = cc.chains[node.chain].support_mask
         if path and 0 <= node.edge_label < n and not support >> node.edge_label & 1:
             violations["T2"].append(
                 f"node {path}: parent edge label {node.edge_label} not in chain support"
@@ -184,7 +168,7 @@ def validate_tree(tree: CrossSupportTree, cc: ChainCollection, ordering: Orderin
                 )
 
     # T3: parent edge label equals leftmost child edge label.
-    for path, node, _ in infos:
+    for path, node in infos:
         if path and not node.is_leaf:
             leftmost = node.children[0].edge_label
             if leftmost != node.edge_label:
@@ -193,13 +177,13 @@ def validate_tree(tree: CrossSupportTree, cc: ChainCollection, ordering: Orderin
                 )
 
     # T4: along each edge with label x, the member below x grows strictly.
-    for path, node, _ in infos:
-        sup_v = _support_of(cc, node)
+    for path, node in infos:
+        sup_v = cc.chains[node.chain].support_mask
         for idx, child in enumerate(node.children):
             x = child.edge_label
             if x is None or not 0 <= x < n:
                 continue
-            if not (sup_v >> x & 1 and _support_of(cc, child) >> x & 1):
+            if not (sup_v >> x & 1 and cc.chains[child.chain].support_mask >> x & 1):
                 continue  # already a T2 violation
             below_v = cc.chains[node.chain].member_below(x)
             below_u = cc.chains[child.chain].member_below(x)
@@ -209,11 +193,11 @@ def validate_tree(tree: CrossSupportTree, cc: ChainCollection, ordering: Orderin
                     f"{format_set(below_v)} not strictly inside {format_set(below_u)}"
                 )
 
-    s_vals = {path: _s_value(cc, node) for path, node, _ in infos}
+    s_vals = {path: _s_value(cc, node) for path, node in infos}
 
     # T5: same-depth pairs through their lowest common ancestor.
     by_depth: dict[int, list[tuple[int, ...]]] = {}
-    for path, _node, _ in infos:
+    for path in by_path:
         by_depth.setdefault(len(path), []).append(path)
     for depth, paths in by_depth.items():
         if depth == 0:
@@ -238,18 +222,17 @@ def validate_tree(tree: CrossSupportTree, cc: ChainCollection, ordering: Orderin
                     )
 
     # T6 (advisory): leftmost descendants inherit phi and grow S strictly.
-    for path, node, _ in infos:
+    for path, node in infos:
         if not path:
             continue
-        parent = parents[path]
+        parent = by_path[path[:-1]]
         x = node.edge_label
         s_v = s_vals[path]
         if (
-            parent is not None
-            and s_v is not None
+            s_v is not None
             and x is not None
             and 0 <= x < n
-            and _support_of(cc, parent) >> x & 1
+            and cc.chains[parent.chain].support_mask >> x & 1
         ):
             below_p = cc.chains[parent.chain].member_below(x)
             if not (below_p & ~s_v == 0 and below_p != s_v):
@@ -259,7 +242,7 @@ def validate_tree(tree: CrossSupportTree, cc: ChainCollection, ordering: Orderin
         desc = path
         while True:
             d_node = by_path[desc]
-            if _phi(d_node) != x:
+            if d_node.edge_label != x:
                 advisory["T6"].append(f"nodes {path},{desc}: phi not inherited on leftmost path")
                 break
             s_u = s_vals[desc]
@@ -275,14 +258,14 @@ def validate_tree(tree: CrossSupportTree, cc: ChainCollection, ordering: Orderin
 
     # T7 (advisory): all members of all used chains pairwise intersect;
     # equivalent to pairwise intersecting chain bases.
-    used = sorted({node.chain for _, node, _ in infos})
+    used = sorted({node.chain for _, node in infos})
     for a_idx, ci in enumerate(used):
         for cj in used[a_idx + 1 :]:
             if not cc.chains[ci].base & cc.chains[cj].base:
                 advisory["T7"].append(f"chains {ci},{cj}: bases disjoint")
 
     # T8 (advisory): S strictly larger on descendants.
-    for path, _node, _ in infos:
+    for path in by_path:
         if len(path) < 2:
             continue
         for cut in range(1, len(path)):
@@ -333,7 +316,7 @@ def extract_k_crossing_from_tree(
         raise ExtractionError(f"tree does not validate: {report.as_dict()}")
     if tree.height() != k:
         raise ExtractionError(f"tree height {tree.height()} != k={k}")
-    for path, node, _ in tree.nodes():
+    for path, node in tree.nodes():
         if not node.is_leaf and len(node.children) < k:
             raise ExtractionError(f"node {path} has {len(node.children)} < k children")
 
@@ -363,7 +346,6 @@ def extract_k_crossing_from_tree(
 class BuildResult:
     tree: CrossSupportTree | None
     per_root: dict
-    trace: SelectionTrace
 
 
 def build_tree(
@@ -392,29 +374,24 @@ def build_tree(
     if height < 0:
         raise ValueError(f"height must be >= 0, got {height}")
     h = cc.uniform_h()
-    trace = SelectionTrace(ordering=ordering)
     trees: dict[int, CrossSupportTree] = {
         i: CrossSupportTree(TreeNode(i, None)) for i in selected
     }
     survivors = list(selected)
     per_root: dict = {}
 
-    for level in range(1, height + 1):
-        level_info: dict = {"level": level}
-        y_sets: dict[int, tuple[int, ...]] = {}
+    for _level in range(height):
         z_sets: dict[int, tuple[int, ...]] = {}
         for i in survivors:
             root = trees[i].root
             if root.children:
                 y = tuple(c.edge_label for c in root.children)
             else:
-                y = cc.chains[i].support
+                y = cc.chains[i].added
             # Late half under the ordering: these are the labels whose
             # pruned subtrees keep at least half of their children.
             y_sorted = sorted(y, key=ordering.position)
-            z = tuple(y_sorted[len(y_sorted) // 2 :])
-            y_sets[i] = y
-            z_sets[i] = z
+            z_sets[i] = tuple(y_sorted[len(y_sorted) // 2 :])
         pools: dict[int, list[int]] = {}
         for i in survivors:
             for x in z_sets[i]:
@@ -430,31 +407,18 @@ def build_tree(
                     i,
                 ),
             )
-            top = tuple(ranked[-h:]) if len(ranked) >= h else tuple(ranked)
-            tops[x] = top
-            excluded.update(top)
+            tops[x] = tuple(ranked[-h:])
+            excluded.update(tops[x])
         next_survivors = [i for i in survivors if i not in excluded]
-        level_info.update(
-            {
-                "Y": dict(y_sets),
-                "Z": dict(z_sets),
-                "J": {x: tuple(v) for x, v in pools.items()},
-                "J_top": dict(tops),
-                "I_level": tuple(next_survivors),
-            }
-        )
 
         new_trees: dict[int, CrossSupportTree] = {}
         for i in next_survivors:
-            result = _assemble_root(
-                cc, ordering, trees, i, z_sets[i], tops, branching, level_info
-            )
+            result = _assemble_root(cc, ordering, trees, i, z_sets[i], tops, branching)
             if isinstance(result, CrossSupportTree):
                 new_trees[i] = result
                 per_root[i] = "ok"
             else:
                 per_root[i] = result
-        trace.builder_levels.append(level_info)
         trees = new_trees
         survivors = sorted(new_trees)
         if not survivors:
@@ -471,10 +435,10 @@ def build_tree(
             final = candidate
         else:
             per_root[survivors[0]] = f"failed validation: {report.as_dict()}"
-    return BuildResult(final, per_root, trace)
+    return BuildResult(final, per_root)
 
 
-def _assemble_root(cc, ordering, trees, i, z_i, tops, branching, level_info):
+def _assemble_root(cc, ordering, trees, i, z_i, tops, branching):
     """One root of one builder level; returns a tree or a failure reason."""
     # Distinct representatives: process labels left to right (reverse
     # ordering) and take the candidate with the largest member below x.
@@ -524,7 +488,6 @@ def _assemble_root(cc, ordering, trees, i, z_i, tops, branching, level_info):
     labels = sorted(subtrees, key=ordering.position, reverse=True)
     depth = CrossSupportTree(subtrees[labels[0]]).height()
     kept = list(labels)
-    d_chains: dict[int, tuple[int, ...]] = {}
     for d in range(depth + 1):
         s_of = {}
         for x in kept:
@@ -534,18 +497,14 @@ def _assemble_root(cc, ordering, trees, i, z_i, tops, branching, level_info):
             s_of[x] = cc.chains[node.chain].member_below(x)
         fam = Family(cc.ground, tuple(set(s_of.values())))
         dec = dilworth_partition(fam)
-        best_chain = max(dec.chains, key=len)
-        members = set(best_chain)
+        members = set(max(dec.chains, key=len))
         kept = [x for x in kept if s_of[x] in members]
-        d_chains[d] = best_chain
-    level_info.setdefault("Q", {})[i] = tuple(kept)
-    level_info.setdefault("D", {})[i] = d_chains
     if len(kept) < branching:
         return f"only {len(kept)} chain-compatible subtrees < branching {branching}"
 
     children = tuple(subtrees[x] for x in sorted(kept, key=ordering.position, reverse=True))
     tree = CrossSupportTree(TreeNode(i, None, children))
-    for path, node, _ in tree.nodes():
+    for path, node in tree.nodes():
         if not node.is_leaf and len(node.children) < branching:
             return f"node {path} has {len(node.children)} < branching {branching}"
     report = validate_tree(tree, cc, ordering)

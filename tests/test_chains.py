@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossfree.chains import (
     Chain,
@@ -107,6 +109,38 @@ def test_chain_accessors():
         chain.member_below(5)
 
 
+@st.composite
+def chain_specs(draw):
+    n = draw(st.integers(min_value=1, max_value=64))
+    base = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    rest = [e for e in range(n) if not base >> e & 1]
+    added = draw(st.permutations(rest))[: draw(st.integers(min_value=0, max_value=len(rest)))]
+    return n, base, tuple(added)
+
+
+@given(chain_specs())
+def test_chain_matches_plain_scan(case):
+    n, base, added = case
+    chain = Chain(base, added)
+    members = tuple(base | mask_of(added[:i]) for i in range(len(added) + 1))
+    assert chain.members == members
+    assert chain.support_mask == mask_of(added)
+    assert chain.top == base | mask_of(added)
+    for x in range(n):
+        if x in added:
+            below = max((m for m in members if not m >> x & 1), key=int.bit_count)
+            assert chain.member_below(x) == below
+        else:
+            with pytest.raises(KeyError):
+                chain.member_below(x)
+    if added:
+        with pytest.raises(ValueError, match="already present"):
+            Chain(base, added + added[-1:])
+    if base:
+        with pytest.raises(ValueError, match="already present"):
+            Chain(base, added + (base.bit_length() - 1,))
+
+
 def test_chain_collection_rejects_shared_members():
     g = GroundSet(4)
     with pytest.raises(ValueError, match="share"):
@@ -143,6 +177,59 @@ def test_extract_residual_has_no_path():
         used = {m for c in cc.chains for m in c.members}
         residual = Family(fam.ground, tuple(m for m in fam.sets if m not in used))
         assert len(extract_disjoint_chains(residual, h)) == 0
+
+
+def recursive_extract(fam, h):
+    """The depth-first search without memo: slow, exponential oracle."""
+    out = successor_graph(fam).out_edges
+    used = [False] * len(fam)
+    paths = []
+
+    def extend(path):
+        if len(path) == h + 1:
+            return True
+        for j in out[path[-1]]:
+            if not used[j] and j not in path:
+                path.append(j)
+                if extend(path):
+                    return True
+                path.pop()
+        return False
+
+    while True:
+        for s in range(len(fam)):
+            path = [s]
+            if not used[s] and extend(path):
+                break
+        else:
+            return paths
+        for i in path:
+            used[i] = True
+        paths.append(tuple(fam.sets[i] for i in path))
+
+
+@st.composite
+def families_and_h(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    # one bit per subset of the ground set, so dense families are common
+    keep = draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))
+    masks = tuple(m for m in range(1 << n) if keep >> m & 1)
+    return Family(GroundSet(n), masks), draw(st.integers(min_value=1, max_value=n + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(families_and_h())
+def test_extract_matches_recursive_search(case):
+    fam, h = case
+    cc = extract_disjoint_chains(fam, h)
+    assert [c.members for c in cc.chains] == recursive_extract(fam, h)
+
+
+def test_extract_full_power_set_n12():
+    fam = Family(GroundSet(12), tuple(range(1 << 12)))
+    cc = extract_disjoint_chains(fam, 12)
+    assert len(cc) == 1
+    assert (cc.chains[0].base, cc.chains[0].top) == (0, (1 << 12) - 1)
 
 
 def test_ordering():

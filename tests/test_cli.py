@@ -69,6 +69,31 @@ def test_decompose_matches_golden(capsys, tmp_path):
     assert out == (GOLDEN / "decompose_all_n7.txt").read_text()
 
 
+def nested_chain_files(tmp_path, h, count):
+    """``count`` chains with nested prefix bases that each add 0..h-1."""
+    n = h + count
+    lines = [f"chain {','.join(map(str, range(h, h + s)))}; {','.join(map(str, range(h)))}"
+             for s in range(1, count + 1)]
+    chains = tmp_path / f"nested{count}.txt"
+    chains.write_text(f"n {n}\n" + "\n".join(lines) + "\n")
+    ordering = tmp_path / f"natural{count}.txt"
+    ordering.write_text(" ".join(map(str, range(n))) + "\n")
+    return ["--chains", str(chains), "--ordering", str(ordering),
+            "--indices", ",".join(map(str, range(count)))]
+
+
+def test_tree_build_matches_golden(capsys, tmp_path):
+    args = nested_chain_files(tmp_path, 6, 16)
+    code, out, err = run(capsys, "tree", "build", *args, "--k", "2", "--height", "2", "--branching", "2")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "tree_build_nested16.json").read_text()
+
+    args = nested_chain_files(tmp_path, 6, 20)
+    code, out, err = run(capsys, "tree", "build", *args, "--k", "2", "--height", "2", "--branching", "3")
+    assert (code, out) == (1, "")
+    assert err == (GOLDEN / "tree_build_nested20.err").read_text()
+
+
 def test_gen_check_pipeline(capsys, tmp_path):
     code, out, _ = run(capsys, "gen", "laminar", "--n", "5")
     assert code == 0

@@ -38,6 +38,23 @@ def test_example_tree_validates(example):
     assert all(not v for v in report.violations.values())
 
 
+def test_nodes_are_in_preorder(example):
+    tree, _, _ = example
+    paths = [path for path, _ in tree.nodes()]
+    assert len(paths) == 7
+    assert paths == sorted(paths)
+
+
+def test_nodes_deeper_than_recursion_limit():
+    node = TreeNode(0, 0)
+    for _ in range(1499):
+        node = TreeNode(0, 0, (node,))
+    tree = CrossSupportTree(TreeNode(0, None, (node,)))
+    assert len(tree.nodes()) == 1501
+    assert tree.nodes()[-1][0] == (0,) * 1500
+    assert tree.height() == 1500
+
+
 def test_single_node_tree_vacuous():
     g = GroundSet(4)
     cc = ChainCollection(g, (Chain(0b1, (1,)),))
@@ -169,13 +186,3 @@ def test_build_tree_fails_without_containments():
     cc = ChainCollection(g, chains)
     res = build_tree(cc, tuple(range(4)), Ordering.natural(12), 2, 1, 1)
     assert res.tree is None
-
-
-def test_build_tree_trace_records_levels():
-    g = GroundSet(16)
-    chains = tuple(Chain(mask_of(range(2, 2 + s)), (0, 1)) for s in (3, 5, 7, 9))
-    cc = ChainCollection(g, chains)
-    res = build_tree(cc, (0, 1, 2, 3), Ordering.natural(16), 2, 1, 1)
-    assert len(res.trace.builder_levels) == 1
-    level = res.trace.builder_levels[0]
-    assert set(level) >= {"Y", "Z", "J", "J_top", "I_level"}
