@@ -12,7 +12,10 @@ from dataclasses import dataclass
 
 from . import kernel
 from .crossing import find_pairwise_crossing_witness
-from .families import Family, GroundSet, crosses, mask_of
+from .families import Family, GroundSet, crossing_row, elements_of, mask_of
+
+# Largest n for gen_random_cross_free, which lists all 2^n subsets.
+MAX_RANDOM_GROUND = 20
 
 
 @dataclass(frozen=True)
@@ -83,21 +86,26 @@ def gen_random_cross_free(n: int, k: int, mode: str, seed: int) -> Family:
     """Randomized greedy maximal k-cross-free family, deterministic per seed.
 
     Iterates the 2^n subsets in a seed-shuffled order and keeps a subset
-    whenever it does not complete k pairwise-crossing members. The output is
-    re-verified witness-free before returning.
+    whenever it does not complete k pairwise-crossing members; each
+    candidate's crossing neighbours among the kept sets are one row of their
+    membership index. The output is re-verified witness-free before
+    returning. n is capped at MAX_RANDOM_GROUND, checked before the 2^n
+    candidates are listed.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     ground = GroundSet(n)
+    if n > MAX_RANDOM_GROUND:
+        raise ValueError(
+            f"random generation scans all 2^n subsets; n must be <= {MAX_RANDOM_GROUND}, got {n}"
+        )
     order = list(range(1 << n))
     random.Random(seed).shuffle(order)
     kept: list[int] = []
+    masks = [0] * n  # membership index of kept, by insertion index
     adj: list[int] = []  # crossing adjacency among kept, by insertion index
     for cand in order:
-        nb = 0
-        for i, m in enumerate(kept):
-            if crosses(cand, m, ground, mode):
-                nb |= 1 << i
+        nb = crossing_row(cand, masks, mode)
         # A new k-witness must include cand, i.e. a (k-1)-clique among its
         # crossing neighbors.
         if kernel.find_k_clique_in(adj, nb, k - 1) is None:
@@ -109,6 +117,8 @@ def gen_random_cross_free(n: int, k: int, mode: str, seed: int) -> Family:
                 rest ^= low
             adj.append(nb)
             kept.append(cand)
+            for e in elements_of(cand):
+                masks[e] |= 1 << idx
     fam = Family(ground, tuple(kept))
     assert find_pairwise_crossing_witness(fam, k, mode) is None
     return fam

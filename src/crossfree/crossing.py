@@ -13,7 +13,15 @@ from fractions import Fraction
 from math import ceil
 
 from . import kernel
-from .families import Family, GroundSet, crosses, elements_of
+from .families import (
+    Family,
+    GroundSet,
+    crosses,
+    crossing_row,
+    elements_of,
+    membership_masks,
+    superset_rows,
+)
 
 MODES = ("strict", "weak")
 
@@ -69,18 +77,14 @@ class ChainDecomposition:
 
 
 def crossing_graph(fam: Family, mode: str) -> CrossingGraph:
-    """Adjacency per classify_pair; vertex order is the canonical family order."""
+    """Adjacency from the family's membership index, one crossing row per set.
+
+    Vertex order is the canonical family order.
+    """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    sets = fam.sets
-    n = len(sets)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if crosses(sets[i], sets[j], fam.ground, mode):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return CrossingGraph(fam, mode, tuple(adj))
+    masks = membership_masks(fam.sets, fam.ground.n)
+    return CrossingGraph(fam, mode, tuple(crossing_row(a, masks, mode) for a in fam.sets))
 
 
 def find_pairwise_crossing_witness(fam: Family, k: int, mode: str):
@@ -141,26 +145,25 @@ def dilworth_partition(fam: Family) -> ChainDecomposition:
     """
     sets = fam.sets
     n = len(sets)
-    succ = [0] * n  # succ[i]: strict supersets of sets[i]
-    for i in range(n):
-        for j in range(n):
-            if i != j and sets[i] & ~sets[j] == 0:
-                succ[i] |= 1 << j
+    succ = superset_rows(fam)
     match_right = _max_bipartite_matching(n, succ)
     match_left = [-1] * n
     for v, u in enumerate(match_right):
         if u != -1:
             match_left[u] = v
 
-    # Chains: follow matched successor edges from chain heads.
-    starts = [i for i in range(n) if match_right[i] == -1]
+    # Chains: follow matched successor edges from chain heads. Heads come in
+    # ascending index, so the chains are in canonical order of their heads.
     chains = []
-    for s in starts:
-        chain = [s]
-        while match_left[chain[-1]] != -1:
-            chain.append(match_left[chain[-1]])
-        chains.append(tuple(sets[i] for i in chain))
-    chains.sort(key=lambda c: (c[0].bit_count(), c[0]))
+    for head in range(n):
+        if match_right[head] != -1:
+            continue
+        chain = [sets[head]]
+        i = match_left[head]
+        while i != -1:
+            chain.append(sets[i])
+            i = match_left[i]
+        chains.append(tuple(chain))
 
     # Koenig cover: alternating reachability from unmatched left vertices.
     # A reached matched left vertex w entered through its own matched right

@@ -3,6 +3,15 @@
 A subset of the ground set {0, ..., n-1} is stored as a plain int bitmask
 (element e is in the set iff bit e is set), so a subset is one machine word
 and all region computations are bitwise ops.
+
+Pairwise relations over a whole family go through its membership index:
+one int per ground element whose bit i is set iff the element lies in the
+i-th member. The members that meet, leave, contain or miss a set are then
+unions and intersections of at most n index masks, so a set's row against
+the whole family costs n big-int operations instead of one Python-level
+comparison per member (the bitboard idea of San Segundo et al., Comput.
+Oper. Res. 2011). ``classify_pair`` and ``crosses`` stay the per-pair
+oracle.
 """
 
 from __future__ import annotations
@@ -10,6 +19,8 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_
 
 MAX_GROUND = 64
 
@@ -143,6 +154,84 @@ def crosses(a: int, b: int, ground: GroundSet, mode: str) -> bool:
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def membership_masks(sets, n: int) -> list[int]:
+    """The membership index of a list of sets over {0, ..., n-1}.
+
+    masks[e] has bit i set iff element e lies in sets[i].
+    """
+    masks = [0] * n
+    for i, s in enumerate(sets):
+        bit = 1 << i
+        for e in elements_of(s):
+            masks[e] |= bit
+    return masks
+
+
+def set_regions(a: int, masks) -> tuple[int, int, int, int]:
+    """Index masks (inter, beyond, within, outside) of set a against an index.
+
+    Over the members b indexed by masks: inter holds those with a&b
+    nonempty, beyond those with b\\a nonempty, within those containing a,
+    and outside those with some element outside a|b. within is -1 (every
+    member) when a is empty, and outside may be negative; callers mask.
+    """
+    inter = beyond = outside = 0
+    within = -1
+    for e, m in enumerate(masks):
+        if a >> e & 1:
+            inter |= m
+            within &= m
+        else:
+            beyond |= m
+            outside |= ~m
+    return inter, beyond, within, outside
+
+
+def crossing_row(a: int, masks, mode: str) -> int:
+    """Index mask of the members that cross set a under the given mode.
+
+    The row is inter & beyond & ~within (plus & outside in strict mode) of
+    ``set_regions``; inter bounds it to the indexed members, and a member
+    equal to a is never in beyond, so it is never in its own row.
+    """
+    inter, beyond, within, outside = set_regions(a, masks)
+    row = inter & beyond & ~within
+    if mode == "strict":
+        return row & outside
+    if mode == "weak":
+        return row
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def superset_rows(fam: Family) -> list[int]:
+    """rows[i] is the index mask of the strict supersets of fam.sets[i].
+
+    rows[i] is the AND of the membership masks of the elements of sets[i].
+    Strict supersets are larger, so they come later in canonical order:
+    walking the family backwards, masks indexes sets[i + 1:] when row i is
+    taken, and i joins it afterwards. An element in every member separates
+    no two members, so the walk skips it; on a few large nested sets that
+    leaves almost nothing to walk.
+    """
+    sets = fam.sets
+    common = reduce(and_, sets, -1)
+    masks = [0] * fam.ground.n
+    rows = [0] * len(sets)
+    later = 0
+    for i in range(len(sets) - 1, -1, -1):
+        row = later
+        bit = 1 << i
+        s = sets[i] & ~common
+        while s:
+            e = s.bit_length() - 1
+            row &= masks[e]
+            masks[e] |= bit
+            s ^= 1 << e
+        rows[i] = row
+        later |= bit
+    return rows
+
+
 @dataclass(frozen=True)
 class FamilyPredicates:
     is_chain: bool
@@ -164,31 +253,29 @@ class FamilyPredicates:
 def family_predicates(fam: Family) -> FamilyPredicates:
     """Chain / antichain / intersecting / laminar flags for a family."""
     sets = fam.sets
-    ground = fam.ground
+    full = (1 << len(sets)) - 1
+    masks = membership_masks(sets, fam.ground.n)
     is_chain = True
     is_antichain = True
     is_intersecting = True
     is_laminar = True
-    n = len(sets)
-    for i in range(n):
-        a = sets[i]
-        if not a:
+    for i, a in enumerate(sets):
+        inter, beyond, within, _ = set_regions(a, masks)
+        # Members comparable to a: supersets (within) and subsets (~beyond),
+        # a itself included.
+        comparable = (within | ~beyond) & full
+        if comparable != full:
+            is_chain = False
+        if comparable != 1 << i:
+            is_antichain = False
+        if inter != full:
             is_intersecting = False
-        for j in range(i + 1, n):
-            b = sets[j]
-            rel = classify_pair(a, b, ground)
-            if rel is not PairRelation.COMPARABLE:
-                is_chain = False
-            if rel is PairRelation.COMPARABLE:
-                is_antichain = False
-            if not a & b:
-                is_intersecting = False
-            if rel in _WEAK_KINDS:
-                is_laminar = False
+        if inter & beyond & ~within:  # a's weak crossing row
+            is_laminar = False
     is_continuous = is_chain
     if is_chain:
         # Canonical order sorts a chain by cardinality already.
-        for i in range(n - 1):
+        for i in range(len(sets) - 1):
             if sets[i + 1].bit_count() != sets[i].bit_count() + 1:
                 is_continuous = False
                 break

@@ -69,6 +69,13 @@ def test_decompose_matches_golden(capsys, tmp_path):
     assert out == (GOLDEN / "decompose_all_n7.txt").read_text()
 
 
+@pytest.mark.parametrize("mode", ["strict", "weak"])
+def test_gen_random_matches_golden(capsys, mode):
+    code, out, _ = run(capsys, "gen", "random", "--n", "10", "--k", "3", "--mode", mode, "--seed", "1234")
+    assert code == 0
+    assert out == (GOLDEN / f"gen_random_n10_k3_{mode}.txt").read_text()
+
+
 def nested_chain_files(tmp_path, h, count):
     """``count`` chains with nested prefix bases that each add 0..h-1."""
     n = h + count
@@ -288,6 +295,15 @@ def test_chain_file_errors_name_the_line(capsys, tmp_path, text, lineno):
     assert out == ""
     assert_usage_error(code, err)
     assert f"at line {lineno}\n" in err
+
+
+@pytest.mark.parametrize("n", ["21", "64"])
+def test_gen_random_large_n_is_usage_error(capsys, n):
+    # Rejected before the 2^n candidate list is allocated.
+    code, out, err = run(capsys, "gen", "random", "--n", n, "--k", "3", "--mode", "weak", "--seed", "1")
+    assert out == ""
+    assert_usage_error(code, err)
+    assert "n must be <= 20" in err
 
 
 def test_determinism_byte_identical(capsys):

@@ -4,6 +4,10 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from crossfree.constructions import gen_random_cross_free
 from crossfree.crossing import (
     crossing_graph,
     dilworth_partition,
@@ -13,7 +17,16 @@ from crossfree.crossing import (
     turan_floor,
     uniform_bound_report,
 )
-from crossfree.families import Family, GroundSet, crosses, mask_of
+from crossfree.families import (
+    Family,
+    GroundSet,
+    PairRelation,
+    classify_pair,
+    crosses,
+    mask_of,
+    superset_rows,
+)
+from crossfree.kernel import find_k_clique_in
 
 
 def two_sets_n4():
@@ -46,6 +59,79 @@ def test_crossing_graph_edgeless_n3():
     g = GroundSet(3)
     fam = Family(g, tuple(range(8)))
     assert crossing_graph(fam, "strict").edge_count == 0
+
+
+@st.composite
+def indexed_families(draw):
+    """Families over n <= 64 with the empty and full set, subsets and supersets."""
+    # Small ground sets make shared elements and comparable pairs common.
+    n = draw(st.one_of(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=64)))
+    full = (1 << n) - 1
+    mask = st.integers(min_value=0, max_value=full)
+    sets = draw(st.lists(mask, max_size=12))
+    if draw(st.booleans()):
+        # A core in every member, as in a few large nested sets.
+        core = draw(mask)
+        sets = [m | core for m in sets]
+    if sets:
+        # Comparable pairs are rare among random masks for large n.
+        for i, m, grow in draw(st.lists(st.tuples(st.integers(0, len(sets) - 1), mask, st.booleans()), max_size=8)):
+            sets.append(sets[i] | m if grow else sets[i] & m)
+    sets += [m for m in (0, full) if draw(st.booleans())]
+    return Family(GroundSet(n), tuple(sets))
+
+
+_CROSSING_KINDS = {
+    "strict": {PairRelation.CROSSING},
+    "weak": {PairRelation.CROSSING, PairRelation.WEAK_ONLY},
+}
+
+
+@settings(deadline=None)
+@given(indexed_families())
+@example(Family(GroundSet(2), (0b01, 0b10)))
+@example(Family(GroundSet(6), (0b000111, 0b001111, 0b110111)))
+def test_index_rows_match_pairwise_scan(fam):
+    sets, g = fam.sets, fam.ground
+    rel = {(i, j): classify_pair(a, b, g) for i, a in enumerate(sets) for j, b in enumerate(sets)}
+    for mode, kinds in _CROSSING_KINDS.items():
+        adj = crossing_graph(fam, mode).adj
+        assert adj == tuple(
+            sum(1 << j for j in range(len(sets)) if rel[i, j] in kinds) for i in range(len(sets))
+        )
+    # Dilworth's succ rows: the strict supersets of each member.
+    assert superset_rows(fam) == [
+        sum(1 << j for j, b in enumerate(sets) if rel[i, j] is PairRelation.COMPARABLE and not a & ~b)
+        for i, a in enumerate(sets)
+    ]
+
+
+def pairwise_random_cross_free(n, k, mode, seed):
+    """The generator with one crosses() call per kept set, as the slow oracle."""
+    ground = GroundSet(n)
+    order = list(range(1 << n))
+    random.Random(seed).shuffle(order)
+    kept, adj = [], []
+    for cand in order:
+        nb = sum(1 << i for i, m in enumerate(kept) if crosses(cand, m, ground, mode))
+        if find_k_clique_in(adj, nb, k - 1) is None:
+            for i in range(len(kept)):
+                if nb >> i & 1:
+                    adj[i] |= 1 << len(kept)
+            adj.append(nb)
+            kept.append(cand)
+    return Family(ground, tuple(kept))
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=2, max_value=4),
+    st.sampled_from(sorted(_CROSSING_KINDS)),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_gen_random_matches_pairwise_generator(n, k, mode, seed):
+    assert gen_random_cross_free(n, k, mode, seed) == pairwise_random_cross_free(n, k, mode, seed)
 
 
 def test_witness_found_and_verified():

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -116,6 +117,44 @@ def test_crossing_needs_room(case):
     if classify_pair(a, b, g) is PairRelation.CROSSING:
         assert min(a.bit_count(), b.bit_count()) >= 2
         assert (a | b).bit_count() <= n - 1
+
+
+def pairwise_predicates(fam):
+    """family_predicates by one classify_pair call per pair, as the slow oracle."""
+    sets, g = fam.sets, fam.ground
+    rels = [classify_pair(a, b, g) for a, b in combinations(sets, 2)]
+    weak = (PairRelation.CROSSING, PairRelation.WEAK_ONLY)
+    is_chain = all(r is PairRelation.COMPARABLE for r in rels)
+    return {
+        "is_chain": is_chain,
+        "is_continuous_chain": is_chain
+        and all(b.bit_count() == a.bit_count() + 1 for a, b in zip(sets, sets[1:])),
+        "is_antichain": all(r is not PairRelation.COMPARABLE for r in rels),
+        "is_intersecting": all(sets) and all(a & b for a, b in combinations(sets, 2)),
+        "is_laminar": all(r not in weak for r in rels),
+    }
+
+
+@st.composite
+def predicate_families(draw):
+    n = draw(st.integers(min_value=1, max_value=64))
+    full = (1 << n) - 1
+    mask = st.integers(min_value=0, max_value=full)
+    base = draw(st.lists(st.one_of(st.just(0), st.just(full), mask), max_size=12))
+    if draw(st.booleans()):
+        # A chain from the empty set, one element at a time, hits the chain
+        # and continuous-chain flags; sampling a few of its members hits an
+        # uneven chain.
+        order = draw(st.permutations(range(n)))
+        chain = [mask_of(order[:size]) for size in range(n + 1)]
+        base += draw(st.lists(st.sampled_from(chain), max_size=n + 1)) if draw(st.booleans()) else chain
+    return Family(GroundSet(n), tuple(base))
+
+
+@settings(deadline=None)
+@given(predicate_families())
+def test_family_predicates_match_pairwise_scan(fam):
+    assert family_predicates(fam).as_dict() == pairwise_predicates(fam)
 
 
 def test_family_predicates_examples():
