@@ -16,7 +16,6 @@ interval universe exclude both.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from math import comb
 
@@ -38,7 +37,6 @@ class SearchResult:
     size: int
     proven_optimal: bool
     nodes_explored: int
-    elapsed: float
 
 
 def _level_caps(universe: Family, k: int, mode: str) -> dict[int, int]:
@@ -85,7 +83,6 @@ def max_cross_free(universe: Family, k: int, mode: str) -> SearchResult:
         raise ValueError(f"k must be >= 2, got {k}")
     if len(universe) > MAX_UNIVERSE:
         raise SearchInfeasibleError(f"universe of {len(universe)} sets exceeds {MAX_UNIVERSE}")
-    start = time.perf_counter()
     graph = crossing_graph(universe, mode)
     adj = graph.adj
     sets = universe.sets
@@ -134,8 +131,7 @@ def max_cross_free(universe: Family, k: int, mode: str) -> SearchResult:
     best = Family(universe.ground, tuple(sets[v] for v in elements_of(best_mask)))
     assert len(best) == best_size
     assert find_pairwise_crossing_witness(best, k, mode) is None if best_size >= k else True
-    elapsed = time.perf_counter() - start
-    return SearchResult(best, best_size, True, nodes, elapsed)
+    return SearchResult(best, best_size, True, nodes)
 
 
 def brute_force_max(universe: Family, k: int, mode: str) -> int:

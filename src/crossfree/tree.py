@@ -15,10 +15,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 from .chains import Chain, ChainCollection, Ordering
 from .crossing import Witness, dilworth_partition
-from .families import Family, GroundSet, format_set, mask_of
+from .families import Family, GroundSet, canonical_key, format_set, mask_of
 
 
 class MalformedTreeError(ValueError):
@@ -92,15 +93,13 @@ class TreeReport:
         }
 
 
-def _s_value(cc: ChainCollection, node: TreeNode) -> int | None:
-    """S_v = largest member of v's chain not containing the parent label."""
-    phi = node.edge_label
-    if phi is None:
-        return None
+def _below(cc: ChainCollection, node: TreeNode, x: int) -> int | None:
+    """Member of node's chain below x; None unless 0 <= x < n and x is in
+    the chain's support."""
     chain = cc.chains[node.chain]
-    if not chain.support_mask >> phi & 1:
+    if not (0 <= x < cc.ground.n and chain.support_mask >> x & 1):
         return None
-    return chain.member_below(phi)
+    return chain.member_below(x)
 
 
 def validate_tree(tree: CrossSupportTree, cc: ChainCollection, ordering: Ordering) -> TreeReport:
@@ -108,7 +107,8 @@ def validate_tree(tree: CrossSupportTree, cc: ChainCollection, ordering: Orderin
 
     Structural problems (imperfect shape, dangling chain indices, missing
     edge labels) are reported under ``malformed`` and suppress the axiom
-    checks that depend on the broken parts.
+    checks. T6's first clause is T4's edge test, reported again as
+    advisory.
     """
     malformed: list[str] = []
     violations: dict[str, list[str]] = {a: [] for a in TreeReport.AXIOMS}
@@ -132,113 +132,80 @@ def validate_tree(tree: CrossSupportTree, cc: ChainCollection, ordering: Orderin
     if malformed:
         return TreeReport(
             tuple(malformed),
-            {k: tuple(v) for k, v in violations.items()},
-            {k: tuple(v) for k, v in advisory.items()},
+            {k: () for k in violations},
+            {k: () for k in advisory},
         )
 
-    # T1: labels are valid chain indices and ground elements.
-    for path, node in infos:
-        if path and not 0 <= node.edge_label < n:
-            violations["T1"].append(f"node {path}: edge label {node.edge_label} outside ground set")
+    s_vals = {path: _below(cc, node, node.edge_label) if path else None for path, node in infos}
 
-    # T2: incident edge labels lie in the node's support; child labels
-    # strictly decrease left to right under the ordering.
+    # T1-T4 in one preorder pass. T1: labels are ground elements. T2:
+    # incident labels lie in the node's support and child labels strictly
+    # decrease left to right under the ordering. T3: the parent label is
+    # the leftmost child label. T4: along each edge with label x, the member
+    # below x grows strictly; grows[child path] keeps the result for T6.
+    grows: dict[tuple[int, ...], bool] = {}
     for path, node in infos:
-        support = cc.chains[node.chain].support_mask
-        if path and 0 <= node.edge_label < n and not support >> node.edge_label & 1:
-            violations["T2"].append(
-                f"node {path}: parent edge label {node.edge_label} not in chain support"
-            )
+        x = node.edge_label
+        if path and not 0 <= x < n:
+            violations["T1"].append(f"node {path}: edge label {x} outside ground set")
+        elif path and s_vals[path] is None:
+            violations["T2"].append(f"node {path}: parent edge label {x} not in chain support")
         labels = [c.edge_label for c in node.children]
         for idx, lab in enumerate(labels):
-            if lab is None or not 0 <= lab < n:
+            below_v = _below(cc, node, lab)
+            if below_v is None:
+                if 0 <= lab < n:
+                    violations["T2"].append(
+                        f"node {path}: child edge label {lab} not in chain support"
+                    )
                 continue
-            if not support >> lab & 1:
-                violations["T2"].append(
-                    f"node {path}: child edge label {lab} not in chain support"
+            child_path = path + (idx,)
+            below_u = s_vals[child_path]
+            if below_u is None:
+                continue  # already a T2 violation
+            grows[child_path] = _strict_subset(below_v, below_u)
+            if not grows[child_path]:
+                violations["T4"].append(
+                    f"edge {path}->{child_path} label {lab}: "
+                    f"{format_set(below_v)} not strictly inside {format_set(below_u)}"
                 )
         for left, right in zip(labels, labels[1:]):
-            if left is None or right is None:
-                continue
-            if not (0 <= left < n and 0 <= right < n):
-                continue  # out-of-range labels are T1's problem
-            if not ordering.before(right, left):
+            # Out-of-range labels are T1's problem.
+            if 0 <= left < n and 0 <= right < n and not ordering.before(right, left):
                 violations["T2"].append(
                     f"node {path}: child labels {left},{right} not strictly decreasing"
                 )
+        if path and labels and labels[0] != x:
+            violations["T3"].append(
+                f"node {path}: parent label {x} != leftmost child label {labels[0]}"
+            )
 
-    # T3: parent edge label equals leftmost child edge label.
-    for path, node in infos:
-        if path and not node.is_leaf:
-            leftmost = node.children[0].edge_label
-            if leftmost != node.edge_label:
-                violations["T3"].append(
-                    f"node {path}: parent label {node.edge_label} != leftmost child label {leftmost}"
-                )
-
-    # T4: along each edge with label x, the member below x grows strictly.
-    for path, node in infos:
-        sup_v = cc.chains[node.chain].support_mask
-        for idx, child in enumerate(node.children):
-            x = child.edge_label
-            if x is None or not 0 <= x < n:
-                continue
-            if not (sup_v >> x & 1 and cc.chains[child.chain].support_mask >> x & 1):
-                continue  # already a T2 violation
-            below_v = cc.chains[node.chain].member_below(x)
-            below_u = cc.chains[child.chain].member_below(x)
-            if not (below_v & ~below_u == 0 and below_v != below_u):
-                violations["T4"].append(
-                    f"edge {path}->{path + (idx,)} label {x}: "
-                    f"{format_set(below_v)} not strictly inside {format_set(below_u)}"
-                )
-
-    s_vals = {path: _s_value(cc, node) for path, node in infos}
-
-    # T5: same-depth pairs through their lowest common ancestor.
+    # T5: same-depth pairs through their lowest common ancestor; preorder
+    # lists each depth's paths in sorted order.
     by_depth: dict[int, list[tuple[int, ...]]] = {}
     for path in by_path:
         by_depth.setdefault(len(path), []).append(path)
-    for depth, paths in by_depth.items():
-        if depth == 0:
-            continue
-        paths.sort()
-        for a_idx in range(len(paths)):
-            for b_idx in range(a_idx + 1, len(paths)):
-                left, right = paths[a_idx], paths[b_idx]
-                common = 0
-                while left[common] == right[common]:
-                    common += 1
-                # u must be leftmost within the subtree of its branch child.
-                if any(step != 0 for step in left[common + 1 :]):
-                    continue
-                s_left, s_right = s_vals[left], s_vals[right]
-                if s_left is None or s_right is None:
-                    continue
-                if s_right & ~s_left:
-                    violations["T5"].append(
-                        f"nodes {left},{right}: S {format_set(s_right)} "
-                        f"not inside S {format_set(s_left)}"
-                    )
+    for paths in by_depth.values():
+        for left, right in combinations(paths, 2):
+            common = 0
+            while left[common] == right[common]:
+                common += 1
+            # u must be leftmost within the subtree of its branch child.
+            if any(left[common + 1 :]):
+                continue
+            s_left, s_right = s_vals[left], s_vals[right]
+            if s_left is not None and s_right is not None and s_right & ~s_left:
+                violations["T5"].append(
+                    f"nodes {left},{right}: S {format_set(s_right)} "
+                    f"not inside S {format_set(s_left)}"
+                )
 
     # T6 (advisory): leftmost descendants inherit phi and grow S strictly.
-    for path, node in infos:
-        if not path:
-            continue
-        parent = by_path[path[:-1]]
+    for path, node in infos[1:]:
         x = node.edge_label
         s_v = s_vals[path]
-        if (
-            s_v is not None
-            and x is not None
-            and 0 <= x < n
-            and cc.chains[parent.chain].support_mask >> x & 1
-        ):
-            below_p = cc.chains[parent.chain].member_below(x)
-            if not (below_p & ~s_v == 0 and below_p != s_v):
-                advisory["T6"].append(
-                    f"node {path}: parent member below {x} not strictly inside S"
-                )
+        if not grows.get(path, True):
+            advisory["T6"].append(f"node {path}: parent member below {x} not strictly inside S")
         desc = path
         while True:
             d_node = by_path[desc]
@@ -248,7 +215,7 @@ def validate_tree(tree: CrossSupportTree, cc: ChainCollection, ordering: Orderin
             s_u = s_vals[desc]
             if s_v is None or s_u is None:
                 break
-            if desc != path and not (s_v & ~s_u == 0 and s_v != s_u):
+            if desc != path and not _strict_subset(s_v, s_u):
                 advisory["T6"].append(
                     f"nodes {path},{desc}: S does not grow strictly along leftmost path"
                 )
@@ -259,15 +226,12 @@ def validate_tree(tree: CrossSupportTree, cc: ChainCollection, ordering: Orderin
     # T7 (advisory): all members of all used chains pairwise intersect;
     # equivalent to pairwise intersecting chain bases.
     used = sorted({node.chain for _, node in infos})
-    for a_idx, ci in enumerate(used):
-        for cj in used[a_idx + 1 :]:
-            if not cc.chains[ci].base & cc.chains[cj].base:
-                advisory["T7"].append(f"chains {ci},{cj}: bases disjoint")
+    for ci, cj in combinations(used, 2):
+        if not cc.chains[ci].base & cc.chains[cj].base:
+            advisory["T7"].append(f"chains {ci},{cj}: bases disjoint")
 
     # T8 (advisory): S strictly larger on descendants.
     for path in by_path:
-        if len(path) < 2:
-            continue
         for cut in range(1, len(path)):
             anc = path[:cut]
             s_anc, s_desc = s_vals[anc], s_vals[path]
@@ -399,14 +363,7 @@ def build_tree(
         tops: dict[int, tuple[int, ...]] = {}
         excluded: set[int] = set()
         for x, pool in pools.items():
-            ranked = sorted(
-                pool,
-                key=lambda i: (
-                    cc.chains[i].member_below(x).bit_count(),
-                    cc.chains[i].member_below(x),
-                    i,
-                ),
-            )
+            ranked = sorted(pool, key=lambda i: (canonical_key(cc.chains[i].member_below(x)), i))
             tops[x] = tuple(ranked[-h:])
             excluded.update(tops[x])
         next_survivors = [i for i in survivors if i not in excluded]
@@ -424,18 +381,11 @@ def build_tree(
         if not survivors:
             break
 
-    final = None
     if height == 0:
-        survivors = sorted(trees)
-        per_root = {i: "ok" for i in survivors}
-    if survivors:
-        candidate = trees[survivors[0]]
-        report = validate_tree(candidate, cc, ordering)
-        if report.ok:
-            final = candidate
-        else:
-            per_root[survivors[0]] = f"failed validation: {report.as_dict()}"
-    return BuildResult(final, per_root)
+        per_root = {i: "ok" for i in sorted(trees)}
+    # Trees of height >= 1 passed validation in _assemble_root; level-0
+    # trees are single nodes with range-checked chain indices.
+    return BuildResult(trees[min(trees)] if trees else None, per_root)
 
 
 def _assemble_root(cc, ordering, trees, i, z_i, tops, branching):
@@ -454,14 +404,7 @@ def _assemble_root(cc, ordering, trees, i, z_i, tops, branching):
         ]
         if not candidates:
             continue
-        best = max(
-            candidates,
-            key=lambda j: (
-                cc.chains[j].member_below(x).bit_count(),
-                cc.chains[j].member_below(x),
-                -j,
-            ),
-        )
+        best = max(candidates, key=lambda j: (canonical_key(cc.chains[j].member_below(x)), -j))
         rep[x] = best
         taken.add(best)
     if len(rep) < branching:

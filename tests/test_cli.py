@@ -260,6 +260,29 @@ def test_tree_json_rejects_mistyped_fields(capsys, tmp_path, field, value):
 
 
 @pytest.mark.parametrize(
+    "command, expected",
+    [
+        (["validate"], "T1: FAIL\n  node (1, 1): edge label -1 outside ground set\n"),
+        (["extract", "--k", "2"], "extraction failed: tree does not validate"),
+    ],
+    ids=["validate", "extract"],
+)
+def test_negative_edge_label_is_t1(capsys, tmp_path, command, expected):
+    doc = json.loads((FIXTURES / "tree.json").read_text())
+    doc["children"][1]["children"][1]["edge_label_from_parent"] = -1
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "tree", *command,
+        "--chains", str(FIXTURES / "chains.txt"),
+        "--ordering", str(FIXTURES / "ordering.txt"),
+        str(tree),
+    )
+    assert code == 1 and err == ""
+    assert expected in out
+
+
+@pytest.mark.parametrize(
     "command",
     [
         ["prune", "--keep", "0"],

@@ -1,7 +1,10 @@
+import json
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossfree.chains import Chain, ChainCollection, Ordering, parse_chain_collection, parse_ordering
 from crossfree.families import GroundSet, classify_pair, mask_of
@@ -9,6 +12,7 @@ from crossfree.tree import (
     CrossSupportTree,
     ExtractionError,
     MalformedTreeError,
+    TreeReport,
     TreeNode,
     build_tree,
     extract_k_crossing_from_tree,
@@ -20,14 +24,30 @@ from crossfree.tree import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures" / "crosstree"
+GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.fixture
-def example():
+def load_fixture():
     cc = parse_chain_collection((FIXTURES / "chains.txt").read_text())
     ordering = parse_ordering((FIXTURES / "ordering.txt").read_text(), cc.ground.n)
     tree = tree_from_json((FIXTURES / "tree.json").read_text())
     return tree, cc, ordering
+
+
+@pytest.fixture
+def example():
+    return load_fixture()
+
+
+def preorder_docs(tree):
+    """The tree as JSON dicts, and those dicts in preorder, for editing."""
+    doc = json.loads(tree_to_json(tree))
+    docs, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        docs.append(node)
+        stack.extend(reversed(node["children"]))
+    return doc, docs
 
 
 def test_example_tree_validates(example):
@@ -92,9 +112,10 @@ def test_out_of_range_label_is_t1(example):
     tree, cc, ordering = example
     root = tree.root
     a = root.children[1]
-    bad_a = TreeNode(a.chain, 1, (a.children[0], TreeNode(a.children[1].chain, 9)))
-    report = validate_tree(CrossSupportTree(TreeNode(root.chain, None, (root.children[0], bad_a))), cc, ordering)
-    assert report.violations["T1"]
+    for label in (9, -1):
+        bad_a = TreeNode(a.chain, 1, (a.children[0], TreeNode(a.children[1].chain, label)))
+        report = validate_tree(CrossSupportTree(TreeNode(root.chain, None, (root.children[0], bad_a))), cc, ordering)
+        assert report.violations["T1"]
 
 
 def test_prune_keeps_validity(example):
@@ -186,3 +207,73 @@ def test_build_tree_fails_without_containments():
     cc = ChainCollection(g, chains)
     res = build_tree(cc, tuple(range(4)), Ordering.natural(12), 2, 1, 1)
     assert res.tree is None
+
+
+def mutant(seed):
+    """A synthetic tree of height 1-2 with one or two seeded defects."""
+    rng = random.Random(seed)
+    height = rng.randrange(1, 3)
+    branching = rng.randrange(2, 4)
+    h = (height - 1) * (branching - 1) + branching + rng.randrange(3)
+    tree, cc, ordering = gen_synthetic_tree(height, branching, h, rng.randrange(10**9))
+    n = cc.ground.n
+    chains = list(cc.chains)
+    doc, docs = preorder_docs(tree)
+    kinds = rng.sample(["swap", "labels", "chains", "added", "ordering"], rng.randrange(1, 3))
+    if "swap" in kinds:
+        children = rng.choice([d for d in docs if d["children"]])["children"]
+        i, j = rng.sample(range(len(children)), 2)
+        children[i], children[j] = children[j], children[i]
+    if "labels" in kinds:
+        for d in docs[1:]:
+            if rng.random() < 0.3:
+                d["edge_label_from_parent"] = rng.randrange(n + 2)
+    if "chains" in kinds:
+        for d in docs:
+            if rng.random() < 0.3:
+                d["chain"] = rng.randrange(len(chains))
+    if "added" in kinds:
+        idx = rng.randrange(len(chains))
+        added = list(chains[idx].added)
+        rng.shuffle(added)
+        chains[idx] = Chain(chains[idx].base, tuple(added))
+    if "ordering" in kinds:
+        ordering = Ordering.random(n, rng)
+    return tree_from_json(json.dumps(doc)), ChainCollection(cc.ground, tuple(chains)), ordering
+
+
+def test_validate_mutants_match_golden():
+    # One validate_tree(...).as_dict() line per mutant: it pins every
+    # message and its order, so a rewrite of the validator must match it.
+    lines = (GOLDEN / "tree_validate_mutants.jsonl").read_text().splitlines()
+    assert len(lines) == 60
+    violated = set()
+    for seed, line in enumerate(lines):
+        report = validate_tree(*mutant(seed))
+        assert json.dumps(report.as_dict(), sort_keys=True) == line, f"mutant {seed}"
+        violated.update(ax for ax, msgs in {**report.violations, **report.advisory}.items() if msgs)
+    assert violated >= {"T1", "T2", "T3", "T4", "T5", "T6", "T8"}
+
+
+any_int = st.one_of(st.integers(-2, 10), st.integers(), st.integers(min_value=2**64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.integers(0, 6), any_int, max_size=2),
+    st.dictionaries(st.integers(1, 6), any_int, max_size=3),
+)
+def test_arbitrary_labels_and_chain_indices_never_crash(chain_at, label_at):
+    # Keys are preorder node positions in the fixture tree.
+    tree, cc, ordering = load_fixture()
+    doc, docs = preorder_docs(tree)
+    for pos, chain in chain_at.items():
+        docs[pos]["chain"] = chain
+    for pos, label in label_at.items():
+        docs[pos]["edge_label_from_parent"] = label
+    tree = tree_from_json(json.dumps(doc))
+    assert isinstance(validate_tree(tree, cc, ordering), TreeReport)
+    try:
+        extract_k_crossing_from_tree(tree, cc, ordering, 2)
+    except ExtractionError:
+        pass
