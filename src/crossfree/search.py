@@ -3,11 +3,20 @@
 The search is a single include-first branch and bound over the canonical
 vertex order of the universe's crossing graph, run with an explicit stack of
 (chosen, candidates) bitmask pairs, so no recursion depth grows with the
-universe. A node is pruned unless its upper bound strictly beats the
-incumbent. The subtree holding the first optimum in include-first order is
-therefore never pruned, and later optima of equal size never replace it, so
-the search returns the lexicographically least optimum in one pass. The
-search is complete, so the result is always proven optimal.
+universe. Every candidate of a node is admissible: no (k-1)-clique of the
+chosen sets lies in its crossing neighbourhood, so adding it makes no
+k-clique. Including v can only break that for a neighbour u of v, and only
+through a (k-1)-clique containing v, so the filter asks the clique kernel
+for a (k-2)-clique in chosen ∩ N(v) ∩ N(u) and keeps the other candidates
+unchecked.
+
+A node is pruned unless its upper bound strictly beats the incumbent. The
+cover bound is asked as a threshold test that stops summing once the answer
+is settled, so it prunes the same nodes as the full sum. The subtree
+holding the first optimum in include-first order is therefore never pruned,
+and later optima of equal size never replace it, so the search returns the
+lexicographically least optimum in one pass. The search is complete, so the
+result is always proven optimal.
 
 Bound-comparison conventions, used everywhere: counts over the all-subsets
 universe include the empty set and the full set; counts over the cyclic
@@ -54,13 +63,22 @@ def _level_caps(universe: Family, k: int, mode: str) -> dict[int, int]:
     return caps
 
 
-def _cover_bound(adj, cand: int, k: int) -> int:
-    """Greedy disjoint clique cover of cand, from the lowest vertex.
+def _cover_exceeds(adj, cand: int, k: int, slack: int) -> bool:
+    """Whether the greedy clique cover bound of cand exceeds slack.
 
-    Any k-clique-free selection takes at most min(|Q|, k-1) of each clique Q.
+    The bound covers cand greedily by disjoint cliques, each grown from the
+    lowest remaining vertex; any k-clique-free selection takes at most
+    min(|Q|, k-1) of each clique Q. Each clique adds at least 1 and at most
+    its size, so the full sum lies between the running total and the
+    running total plus the popcount of what is left of cand. The loop
+    returns as soon as either end settles the comparison, with the answer
+    the full sum would give.
     """
     total = 0
-    while cand:
+    cap = k - 1
+    while total <= slack:
+        if total + cand.bit_count() <= slack:
+            return False
         low = cand & -cand
         clique = low
         ext = cand & adj[low.bit_length() - 1]
@@ -69,8 +87,9 @@ def _cover_bound(adj, cand: int, k: int) -> int:
             clique |= bit
             ext &= adj[bit.bit_length() - 1]
         cand &= ~clique
-        total += min(clique.bit_count(), k - 1)
-    return total
+        size = clique.bit_count()
+        total += size if size < cap else cap
+    return True
 
 
 def max_cross_free(universe: Family, k: int, mode: str) -> SearchResult:
@@ -78,6 +97,20 @@ def max_cross_free(universe: Family, k: int, mode: str) -> SearchResult:
 
     Deterministic: the optimum value is unique and the returned family is
     the lexicographically least optimum under canonical order.
+
+    Invariant: every vertex in a node's ``cand`` can join ``chosen``
+    without completing a k-clique. When v is included, a candidate outside
+    N(v) keeps that property untested, and a neighbour u keeps it exactly
+    when chosen ∩ N(v) ∩ N(u) holds no (k-2)-clique; for k=2 the empty
+    clique always exists, so every neighbour of v is dropped.
+
+    A node with ``slack = best_size - |chosen|`` is pruned when the level
+    bound or the greedy clique cover bound is at most ``slack``, which is
+    the test ``|chosen| + min(cover, level) <= best_size``. The cover test
+    stops as soon as its running total settles the comparison, so it
+    prunes exactly the nodes the full sum would. Before the first incumbent
+    ``slack`` is negative and no node is pruned, the empty-``cand`` leaf
+    included.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -109,24 +142,26 @@ def max_cross_free(universe: Family, k: int, mode: str) -> SearchResult:
         chosen, cand = stack.pop()
         nodes += 1
         count = chosen.bit_count()
-        if count + min(_cover_bound(adj, cand, k), level_bound(chosen, cand)) <= best_size:
+        slack = best_size - count
+        if level_bound(chosen, cand) <= slack or not _cover_exceeds(adj, cand, k, slack):
             continue
         if not cand:
             best_size, best_mask = count, chosen
             continue
         low = cand & -cand
+        v = low.bit_length() - 1
         rest = cand ^ low
-        included = chosen | low
-        kept = 0
-        m = rest
+        near = chosen & adj[v]
+        kept = rest & ~adj[v]
+        m = rest & adj[v]
         while m:
             bit = m & -m
             m ^= bit
-            if kernel.find_k_clique_in(adj, included & adj[bit.bit_length() - 1], k - 1) is None:
+            if kernel.find_k_clique_in(adj, near & adj[bit.bit_length() - 1], k - 2) is None:
                 kept |= bit
         # Pushed last, the include child is explored first.
         stack.append((chosen, rest))
-        stack.append((included, kept))
+        stack.append((chosen | low, kept))
 
     best = Family(universe.ground, tuple(sets[v] for v in elements_of(best_mask)))
     assert len(best) == best_size

@@ -331,7 +331,8 @@ def build_tree(
     returned only if it validates and every non-leaf meets the branching
     target; None is the expected outcome for most desk-scale inputs.
     """
-    selected = tuple(selected)
+    # A repeated root would fill more than one of the h slots of tops[x].
+    selected = tuple(dict.fromkeys(selected))
     for i in selected:
         if not 0 <= i < len(cc):
             raise ValueError(f"chain index {i} out of range for {len(cc)} chains")

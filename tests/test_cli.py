@@ -171,7 +171,7 @@ def test_tree_prune(capsys, tmp_path):
     assert len(doc["children"]) == 1
 
 
-def test_tree_build(capsys, tmp_path):
+def four_nested_chain_files(tmp_path):
     chains = tmp_path / "chains.txt"
     chains.write_text(
         "n 16\n"
@@ -179,12 +179,20 @@ def test_tree_build(capsys, tmp_path):
     )
     ordering = tmp_path / "ord.txt"
     ordering.write_text(" ".join(str(x) for x in range(16)) + "\n")
-    code, out, _ = run(
-        capsys, "tree", "build", "--chains", str(chains), "--ordering", str(ordering),
-        "--indices", "0,1,2,3", "--k", "2", "--height", "1", "--branching", "1",
-    )
+    return ["tree", "build", "--chains", str(chains), "--ordering", str(ordering),
+            "--k", "2", "--height", "1", "--branching", "1"]
+
+
+def test_tree_build(capsys, tmp_path):
+    code, out, _ = run(capsys, *four_nested_chain_files(tmp_path), "--indices", "0,1,2,3")
     assert code == 0
     assert json.loads(out)["children"]
+
+
+@pytest.mark.parametrize("indices", ["0,0,1", "0,1,1"])
+def test_tree_build_ignores_repeated_indices(capsys, tmp_path, indices):
+    args = four_nested_chain_files(tmp_path)
+    assert run(capsys, *args, "--indices", indices) == run(capsys, *args, "--indices", "0,1")
 
 
 def test_search_and_table(capsys, tmp_path):

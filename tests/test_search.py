@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossfree import kernel
 from crossfree.constructions import gen_cyclic_intervals
-from crossfree.crossing import find_pairwise_crossing_witness
+from crossfree.crossing import crossing_graph, find_pairwise_crossing_witness
 from crossfree.families import Family, GroundSet, crosses
 from crossfree.search import (
     SearchInfeasibleError,
+    _level_caps,
     bound_table,
     brute_force_max,
     format_table_csv,
@@ -92,10 +94,10 @@ def lex_least_optimum(fam, k, mode):
 
 
 @st.composite
-def small_universes(draw):
-    n = draw(st.integers(min_value=1, max_value=5))
-    masks = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=10))
-    k = draw(st.sampled_from([2, 3]))
+def small_universes(draw, max_n=5, max_sets=10, ks=(2, 3, 4)):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    masks = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=max_sets))
+    k = draw(st.sampled_from(ks))
     mode = draw(st.sampled_from(["strict", "weak"]))
     return Family(GroundSet(n), tuple(masks)), k, mode
 
@@ -105,6 +107,96 @@ def small_universes(draw):
 def test_best_is_lexicographically_least_optimum(case):
     fam, k, mode = case
     assert max_cross_free(fam, k, mode).best.sets == lex_least_optimum(fam, k, mode)
+
+
+def reference_search(universe, k, mode):
+    """The B&B with the full admissibility filter and the full cover sum.
+
+    Every candidate is re-checked for a (k-1)-clique of the chosen sets in
+    its neighbourhood, and a node is pruned when
+    ``|chosen| + min(cover, level) <= best``; returns (best, size, nodes).
+    """
+    adj = crossing_graph(universe, mode).adj
+    sets = universe.sets
+    caps = _level_caps(universe, k, mode)
+
+    def cover_bound(cand):
+        total = 0
+        while cand:
+            low = cand & -cand
+            clique = low
+            ext = cand & adj[low.bit_length() - 1]
+            while ext:
+                bit = ext & -ext
+                clique |= bit
+                ext &= adj[bit.bit_length() - 1]
+            cand &= ~clique
+            total += min(clique.bit_count(), k - 1)
+        return total
+
+    levels = {}
+    for v, m in enumerate(sets):
+        levels[m.bit_count()] = levels.get(m.bit_count(), 0) | 1 << v
+
+    def level_bound(chosen, cand):
+        total = 0
+        for level, mask in levels.items():
+            room = caps.get(level, len(sets)) - (chosen & mask).bit_count()
+            total += min((cand & mask).bit_count(), max(0, room))
+        return total
+
+    best_size, best_mask, nodes = -1, 0, 0
+    stack = [(0, (1 << len(sets)) - 1)]
+    while stack:
+        chosen, cand = stack.pop()
+        nodes += 1
+        count = chosen.bit_count()
+        if count + min(cover_bound(cand), level_bound(chosen, cand)) <= best_size:
+            continue
+        if not cand:
+            best_size, best_mask = count, chosen
+            continue
+        low = cand & -cand
+        rest = cand ^ low
+        included = chosen | low
+        kept = 0
+        for v in range(len(sets)):
+            if rest >> v & 1 and kernel.find_k_clique_in(adj, included & adj[v], k - 1) is None:
+                kept |= 1 << v
+        stack.append((chosen, rest))
+        stack.append((included, kept))
+    best = tuple(sets[v] for v in range(len(sets)) if best_mask >> v & 1)
+    return best, best_size, nodes
+
+
+@settings(deadline=None, max_examples=300)
+@given(small_universes(max_n=7, max_sets=18, ks=(2, 3, 4, 5)))
+def test_search_matches_reference_search(case):
+    fam, k, mode = case
+    result = max_cross_free(fam, k, mode)
+    assert (result.best.sets, result.size, result.nodes_explored) == reference_search(fam, k, mode)
+
+
+TABLE_CASES = [
+    ("intervals", 2, "strict", 6403),
+    ("intervals", 3, "strict", 11383),
+    ("intervals", 4, "strict", 109),
+    ("all", 2, "strict", 109),
+    ("all", 3, "strict", 241),
+    ("all", 4, "strict", 1667),
+    ("all", 3, "weak", 343),
+    ("all", 4, "weak", 1347),
+]
+
+
+def test_table_cases_node_counts():
+    """The eight ``table`` cases (intervals n=8, all subsets n=5) keep their B&B nodes."""
+    nodes = []
+    for universe, k, mode, want in TABLE_CASES:
+        fam = gen_cyclic_intervals(8, False) if universe == "intervals" else all_subsets(5)
+        nodes.append(max_cross_free(fam, k, mode).nodes_explored)
+    assert nodes == [want for *_, want in TABLE_CASES]
+    assert sum(nodes) == 21602
 
 
 def test_monotone_in_k():

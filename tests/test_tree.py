@@ -186,11 +186,13 @@ def test_extract_k2_on_branching2():
     assert len(witness.sets) == 2
 
 
-def test_build_tree_level0_and_level1():
-    g = GroundSet(16)
+def four_nested_chains():
     chains = tuple(Chain(mask_of(range(2, 2 + s)), (0, 1)) for s in (3, 5, 7, 9))
-    cc = ChainCollection(g, chains)
-    ordering = Ordering.natural(16)
+    return ChainCollection(GroundSet(16), chains), Ordering.natural(16)
+
+
+def test_build_tree_level0_and_level1():
+    cc, ordering = four_nested_chains()
     res0 = build_tree(cc, (0, 2), ordering, 2, 0, 1)
     assert res0.tree is not None and res0.tree.root.is_leaf
 
@@ -198,6 +200,14 @@ def test_build_tree_level0_and_level1():
     assert res.tree is not None
     assert validate_tree(res.tree, cc, ordering).ok
     assert len(res.tree.root.children) >= 1
+
+
+def test_build_tree_ignores_repeated_indices():
+    cc, ordering = four_nested_chains()
+    once = build_tree(cc, (0, 1, 2, 3), ordering, 2, 1, 1)
+    twice = build_tree(cc, (0, 0, 1, 1, 2, 2, 3, 3), ordering, 2, 1, 1)
+    assert twice.per_root == once.per_root
+    assert tree_to_json(twice.tree) == tree_to_json(once.tree)
 
 
 def test_build_tree_fails_without_containments():
