@@ -176,6 +176,8 @@ class ChainCollection:
 
     def uniform_h(self) -> int:
         hs = {c.h for c in self.chains}
+        if not hs:
+            raise ValueError("chain file holds no chains")
         if len(hs) != 1:
             raise ValueError("chains do not all have the same size")
         return hs.pop()

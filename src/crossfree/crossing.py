@@ -108,30 +108,32 @@ def _max_bipartite_matching(n: int, succ: list[int]) -> list[int]:
     Returns match_right: for each right vertex, its matched left vertex or -1.
     Each root's augmenting-path DFS is a loop over an explicit alternating
     path: path[i] is a left vertex and via[i] the right vertex leading from
-    it to path[i + 1]. visited is a right-vertex bitmask per root, and every
-    scanned right vertex is marked, so succ[u] & ~visited is what u has left
-    to try. Deterministic: left vertices processed ascending, neighbors
-    ascending.
+    it to path[i + 1]. unvisited is a right-vertex bitmask per root that
+    starts full and loses every scanned right vertex, so succ[u] & unvisited
+    is what u has left to try, with no complement built per step.
+    Deterministic: left vertices processed ascending, neighbors ascending.
     """
     match_right = [-1] * n
+    full = (1 << n) - 1
     for root in range(n):
-        path, via, visited = [root], [], 0
+        path, via, unvisited = [root], [], full
         while path:
-            m = succ[path[-1]] & ~visited
+            m = succ[path[-1]] & unvisited
             if not m:
                 path.pop()  # dead end: back up to the previous left vertex
                 if via:
                     via.pop()
                 continue
             low = m & -m
-            visited |= low
+            unvisited ^= low
             v = low.bit_length() - 1
             via.append(v)
-            if match_right[v] == -1:
-                for u, w in zip(path, via):
-                    match_right[w] = u
+            w = match_right[v]
+            if w == -1:
+                for u, v in zip(path, via):
+                    match_right[v] = u
                 break
-            path.append(match_right[v])
+            path.append(w)
     return match_right
 
 

@@ -7,6 +7,14 @@ with the graph. Each step branches on the lowest candidate vertex, so the
 first k-clique found is the lexicographically least one (as a sorted index
 tuple). Pruning uses a greedy coloring bound, which only discards branches
 that cannot contain a k-clique, so the lex-least contract survives.
+
+The bound reads a complement table, ``nonadj[v] = ~(adj[v] | 1 << v)``:
+the vertices that may share v's color class, with v itself removed. Each
+coloring step is then one AND, where the plain adjacency would allocate two
+fresh complements. A search builds the table once, for the vertices of its
+root candidate mask only; every later candidate mask is a subset of it, so
+no other entry is ever read. It is built the first time a node needs the
+bound (need > 2), so the many tiny calls that never color pay nothing.
 """
 
 from __future__ import annotations
@@ -16,11 +24,23 @@ from .families import elements_of
 IMPLEMENTATION = "python"
 
 
-def _color_bound(adj, cand: int, need: int) -> int:
+def _nonadj_table(adj, root: int) -> list[int]:
+    """nonadj[v] = ~(adj[v] | 1 << v) for each vertex v of root, else 0."""
+    nonadj = [0] * len(adj)
+    for v in elements_of(root):
+        nonadj[v] = ~(adj[v] | 1 << v)
+    return nonadj
+
+
+def _color_bound(nonadj, cand: int, need: int) -> int:
     """Number of greedy color classes covering cand, capped at need.
 
     Any clique inside cand has at most one vertex per independent color
     class, so the class count is an admissible upper bound on clique size.
+    A class takes the lowest uncolored vertex, then repeatedly the lowest
+    uncolored vertex not adjacent to any taken one; nonadj (see
+    ``_nonadj_table``) must cover every vertex of cand. Each taken vertex
+    leaves m, the uncolored set, at once.
     """
     classes = 0
     m = cand
@@ -29,14 +49,10 @@ def _color_bound(adj, cand: int, need: int) -> int:
         if classes >= need:
             return classes
         avail = m
-        cls = 0
         while avail:
             low = avail & -avail
-            v = low.bit_length() - 1
-            cls |= low
-            avail &= ~adj[v]
-            avail &= ~low
-        m &= ~cls
+            m ^= low
+            avail &= nonadj[low.bit_length() - 1]
     return classes
 
 
@@ -46,13 +62,20 @@ def _search(adj, cand: int, k: int):
     Neither public function calls the other, so a wrapper installed on one
     of them sees exactly the calls made to it.
     """
+    root = cand
+    nonadj = None
     stack = [(0, cand, k)]
     while stack:
         clique, cand, need = stack.pop()
         if need <= 0:
             return elements_of(clique)
-        if cand.bit_count() < need or (need > 2 and _color_bound(adj, cand, need) < need):
+        if cand.bit_count() < need:
             continue
+        if need > 2:
+            if nonadj is None:
+                nonadj = _nonadj_table(adj, root)
+            if _color_bound(nonadj, cand, need) < need:
+                continue
         low = cand & -cand
         rest = cand ^ low
         # Pushed last, the include child is explored first.

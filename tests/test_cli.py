@@ -328,6 +328,23 @@ def test_chain_file_errors_name_the_line(capsys, tmp_path, text, lineno):
     assert f"at line {lineno}\n" in err
 
 
+@pytest.mark.parametrize("command", ["chains-select", "chains-check", "tree-build"])
+def test_header_only_chain_file_is_usage_error(capsys, tmp_path, command):
+    chains = write_family(tmp_path, "n 3\n", "chains.txt")
+    ordering = write_family(tmp_path, "0 1 2\n", "ord.txt")
+    argv = {
+        "chains-select": ["chains", "select", "--k", "2", "--seed", "1", chains],
+        "chains-check": ["chains", "check", "--k", "2", "--multiplier", "0", "--indices", "-",
+                         "--ordering", ordering, chains],
+        "tree-build": ["tree", "build", "--chains", chains, "--ordering", ordering, "--indices", "-",
+                       "--k", "2", "--height", "1", "--branching", "1"],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert out == ""
+    assert_usage_error(code, err)
+    assert "no chains" in err
+
+
 @pytest.mark.parametrize("n", ["21", "64"])
 def test_gen_random_large_n_is_usage_error(capsys, n):
     # Rejected before the 2^n candidate list is allocated.

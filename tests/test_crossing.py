@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from crossfree.constructions import gen_random_cross_free
 from crossfree.crossing import (
+    _max_bipartite_matching,
     crossing_graph,
     dilworth_partition,
     find_pairwise_crossing_witness,
@@ -215,6 +216,50 @@ def test_dilworth_matches_brute_force():
         members = [m for chain in dec.chains for m in chain]
         assert sorted(members) == sorted(fam.sets)
         assert len(dec.chains) == brute_force_max_antichain(fam.sets)
+
+
+def reference_matching(n, succ):
+    """Kuhn's loop with a visited mask and a complement per step, as the oracle."""
+    match_right = [-1] * n
+    for root in range(n):
+        path, via, visited = [root], [], 0
+        while path:
+            m = succ[path[-1]] & ~visited
+            if not m:
+                path.pop()
+                if via:
+                    via.pop()
+                continue
+            low = m & -m
+            visited |= low
+            v = low.bit_length() - 1
+            via.append(v)
+            if match_right[v] == -1:
+                for u, w in zip(path, via):
+                    match_right[w] = u
+                break
+            path.append(match_right[v])
+    return match_right
+
+
+@st.composite
+def small_families(draw):
+    """Families over n <= 8: the power set, or a random subfamily of it."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    if draw(st.booleans()):
+        sets = range(1 << n)
+    else:
+        sets = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=60))
+    return Family(GroundSet(n), tuple(sets))
+
+
+@settings(deadline=None)
+@given(small_families())
+@example(Family(GroundSet(8), tuple(range(1 << 8))))
+def test_matching_matches_reference(fam):
+    succ = superset_rows(fam)
+    n = len(fam.sets)
+    assert _max_bipartite_matching(n, succ) == reference_matching(n, succ)
 
 
 def test_dilworth_deeper_than_recursion_limit():

@@ -1,6 +1,11 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from crossfree import kernel
+from crossfree.constructions import gen_cyclic_intervals
+from crossfree.crossing import crossing_graph
 
 
 def random_adj(rng, n, p):
@@ -62,3 +67,60 @@ def test_complete_graph_deeper_than_recursion_limit():
     full = (1 << n) - 1
     adj = [full ^ (1 << v) for v in range(n)]
     assert kernel.find_k_clique(adj, n) == tuple(range(n))
+
+
+def reference_color_bound(adj, cand, need):
+    """The coloring bound read straight from adj, two complements per step, as the oracle."""
+    classes = 0
+    m = cand
+    while m:
+        classes += 1
+        if classes >= need:
+            return classes
+        avail = m
+        cls = 0
+        while avail:
+            low = avail & -avail
+            v = low.bit_length() - 1
+            cls |= low
+            avail &= ~adj[v]
+            avail &= ~low
+        m &= ~cls
+    return classes
+
+
+@st.composite
+def bound_queries(draw):
+    """A graph of up to 80 vertices, some with self-loops, a root mask, a
+    candidate mask inside it and a need of 3-8."""
+    n = draw(st.integers(min_value=1, max_value=80))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    adj = random_adj(rng, n, rng.random())
+    for v in draw(st.lists(st.integers(0, n - 1), max_size=4)):
+        adj[v] |= 1 << v
+    root = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    cand = root & draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    return adj, root, draw(st.sampled_from((root, cand))), draw(st.integers(3, 8))
+
+
+@settings(deadline=None, max_examples=300)
+@given(bound_queries())
+def test_color_bound_matches_reference(query):
+    adj, root, cand, need = query
+    nonadj = kernel._nonadj_table(adj, root)
+    assert kernel._color_bound(nonadj, cand, need) == reference_color_bound(adj, cand, need)
+
+
+def test_color_bound_self_loop():
+    # Vertex 0 lists itself as a neighbour; it still ends up in one class.
+    adj = [0b011, 0b001, 0b000]
+    assert reference_color_bound(adj, 0b111, 5) == 2
+    assert kernel._color_bound(kernel._nonadj_table(adj, 0b111), 0b111, 5) == 2
+
+
+def test_strict_intervals_n24_clique_number_is_12():
+    # The shape of the benchmark's largest witness check: 552 strict cyclic
+    # intervals whose clique number is n/2.
+    adj = crossing_graph(gen_cyclic_intervals(24, False), "strict").adj
+    assert kernel.find_k_clique(adj, 12) == tuple(range(264, 276))
+    assert kernel.find_k_clique(adj, 13) is None
