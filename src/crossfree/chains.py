@@ -265,6 +265,14 @@ class SelectionTrace:
     stage_sets: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
 
+def _check_c4_parameters(k: int, min_size_multiplier: int) -> None:
+    # Below these the C4 threshold min_size_multiplier*k*h means nothing.
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    if min_size_multiplier < 0:
+        raise ValueError(f"multiplier must be >= 0, got {min_size_multiplier}")
+
+
 def select_conditioned_chains(
     cc: ChainCollection, k: int, min_size_multiplier: int, seed: int
 ) -> tuple[tuple[int, ...], Ordering, SelectionTrace]:
@@ -276,6 +284,7 @@ def select_conditioned_chains(
     independent set of the conflict graph (C3); stage 4 drops chains whose
     minimum member is smaller than min_size_multiplier*k*h (C4).
     """
+    _check_c4_parameters(k, min_size_multiplier)
     h = cc.uniform_h()
     n = cc.ground.n
     rng = random.Random(seed)
@@ -370,6 +379,7 @@ def check_conditions(
     min_size_multiplier: int = 3,
 ) -> ConditionsReport:
     """Exhaustive verification of C1-C4 over the selected chain indices."""
+    _check_c4_parameters(k, min_size_multiplier)
     selected = tuple(selected)
     for i in selected:
         if not 0 <= i < len(cc):

@@ -274,7 +274,7 @@ def extract_k_crossing_from_tree(
     re-verified pairwise before returning.
     """
     if k < 2:
-        raise ExtractionError(f"k must be >= 2, got {k}")
+        raise ValueError(f"k must be >= 2, got {k}")
     report = validate_tree(tree, cc, ordering)
     if not report.ok:
         raise ExtractionError(f"tree does not validate: {report.as_dict()}")

@@ -1,19 +1,155 @@
+import argparse
+import contextlib
+import io
 import json
 from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crossfree.cli import main
+from crossfree.cli import build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "crosstree"
 GOLDEN = Path(__file__).parent / "golden"
+TREE_INPUTS = ["--chains", str(FIXTURES / "chains.txt"), "--ordering", str(FIXTURES / "ordering.txt")]
+
+# The path of every parser: the top level, 3 groups and 16 commands.
+PARSER_PATHS = [
+    (), ("check",), ("classify",), ("decompose",),
+    ("gen",), ("gen", "laminar"), ("gen", "intervals"), ("gen", "random"),
+    ("reduce",),
+    ("chains",), ("chains", "extract"), ("chains", "select"), ("chains", "check"),
+    ("tree",), ("tree", "validate"), ("tree", "extract"), ("tree", "build"), ("tree", "prune"),
+    ("search",), ("table",),
+]
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def outcome(parse, argv):
+    """(exit code, stdout, stderr, result) of ``parse(argv)``; the code is
+    None when it returns and the result is None when it exits."""
+    out, err = io.StringIO(), io.StringIO()
+    code = result = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), result
+
+
+def help_dump():
+    """The ``-h`` output of every parser, each under a ``$ crossfree ... -h`` line."""
+    text = ""
+    for path in PARSER_PATHS:
+        argv = [*path, "-h"]
+        code, out, err, _ = outcome(main, argv)
+        assert (code, err) == (0, ""), argv
+        text += "$ " + " ".join(["crossfree", *argv]) + "\n" + out
+    return text
+
+
+def test_help_matches_golden(monkeypatch):
+    # argparse wraps help to $COLUMNS; the golden was written at 80.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert help_dump() == (GOLDEN / "cli_help.txt").read_text()
+
+
+# One valid argv per command; parse_args never opens the paths.
+VALID_ARGVS = [
+    ["check", "--k", "2", "--mode", "weak", "--format", "json", "fam.txt"],
+    ["classify", "--format", "json", "fam.txt"],
+    ["decompose", "fam.txt"],
+    ["gen", "laminar", "--n", "4"],
+    ["gen", "intervals", "--n", "4", "--include-trivial"],
+    ["gen", "random", "--n", "6", "--k", "3", "--mode", "weak", "--seed", "1"],
+    ["reduce", "--k", "2", "fam.txt"],
+    ["chains", "extract", "--h", "2", "fam.txt"],
+    ["chains", "select", "--k", "2", "--multiplier", "0", "--seed", "1", "--format", "json", "c.txt"],
+    ["chains", "check", "--k", "2", "--indices", "0,1", "--ordering", "o.txt", "c.txt"],
+    ["tree", "validate", "--chains", "c.txt", "--ordering", "o.txt", "--format", "json", "t.json"],
+    ["tree", "extract", "--chains", "c.txt", "--ordering", "o.txt", "--k", "3", "t.json"],
+    ["tree", "build", "--chains", "c.txt", "--ordering", "o.txt", "--indices", "0",
+     "--k", "2", "--height", "1", "--branching", "1"],
+    ["tree", "prune", "--keep", "0", "t.json"],
+    ["search", "--k", "2", "fam.txt"],
+    ["table", "--n", "3..4", "--k", "2", "--universe", "all", "--format", "csv"],
+]
+NAMES = sorted({name for path in PARSER_PATHS for name in path})
+
+
+@st.composite
+def mutated_argvs(draw):
+    argv = list(draw(st.sampled_from(VALID_ARGVS)))
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(("drop", "duplicate", "swap", "insert", "rename")))
+        if op == "insert":
+            argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(("-h", "--bogus"))))
+            continue
+        if not argv:
+            continue
+        i = draw(st.integers(0, len(argv) - 1))
+        if op == "drop":
+            del argv[i]
+        elif op == "duplicate":
+            argv.insert(i, argv[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(argv) - 1))
+            argv[i], argv[j] = argv[j], argv[i]
+        else:
+            argv[i] = draw(st.sampled_from(NAMES))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_argvs())
+def test_parser_for_argv_matches_full_parser(argv):
+    # The full parser is the oracle: same exit code, output and namespace.
+    lazy = outcome(lambda a: build_parser(a).parse_args(a), argv)
+    full = outcome(lambda a: build_parser().parse_args(a), argv)
+    assert lazy == full
+
+
+@pytest.mark.parametrize("argv, dest", [
+    ([], "command"), (["gen"], "kind"), (["chains"], "chains_command"), (["tree"], "tree_command"),
+])
+def test_missing_subcommand_error_names_its_dest(argv, dest):
+    # argparse prints the metavar here when one is set, so the full parser sets none.
+    code, out, err, _ = outcome(main, argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f": error: the following arguments are required: {dest}\n")
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """A one-item list counting ArgumentParser constructions."""
+    count = [0]
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return count
+
+
+def test_main_builds_only_the_invoked_path(tmp_path, parsers_built):
+    fam = write_family(tmp_path, "n 4\n0\n0,1\n")
+    tree = ["tree", "validate", *TREE_INPUTS, str(FIXTURES / "tree.json")]
+    for argv, parsers in [(["check", "--k", "2", fam], 2), (tree, 3), (["-h"], len(PARSER_PATHS))]:
+        # The second call builds its parsers again: nothing is cached.
+        for _ in range(2):
+            parsers_built[0] = 0
+            code, _, _, result = outcome(main, argv)
+            assert 0 in (code, result) and parsers_built[0] == parsers, argv
 
 
 def write_family(tmp_path, text, name="fam.txt"):
@@ -343,6 +479,38 @@ def test_header_only_chain_file_is_usage_error(capsys, tmp_path, command):
     assert out == ""
     assert_usage_error(code, err)
     assert "no chains" in err
+
+
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_tree_extract_k_below_two_is_usage_error(capsys, k):
+    code, out, err = run(capsys, "tree", "extract", *TREE_INPUTS, "--k", k, str(FIXTURES / "tree.json"))
+    assert out == ""
+    assert_usage_error(code, err)
+    assert "k must be >= 2" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["chains", "select", "--seed", "1"],
+    ["chains", "check", "--indices", "0", "--ordering", str(FIXTURES / "ordering.txt")],
+])
+@pytest.mark.parametrize("option, message", [
+    (["--k", "0"], "k must be >= 2"),
+    (["--k", "1"], "k must be >= 2"),
+    (["--k", "2", "--multiplier", "-1"], "multiplier must be >= 0"),
+])
+def test_chain_conditions_reject_vacuous_parameters(capsys, command, option, message):
+    code, out, err = run(capsys, *command, *option, str(FIXTURES / "chains.txt"))
+    assert out == ""
+    assert_usage_error(code, err)
+    assert message in err
+
+
+@pytest.mark.parametrize("option", [["--n", "5..3", "--k", "2"], ["--n", "4", "--k", "3..2"]])
+def test_table_reversed_range_is_usage_error(capsys, option):
+    code, out, err = run(capsys, "table", *option)
+    assert out == ""
+    assert_usage_error(code, err)
+    assert "empty range" in err
 
 
 @pytest.mark.parametrize("n", ["21", "64"])
