@@ -273,6 +273,16 @@ def _check_c4_parameters(k: int, min_size_multiplier: int) -> None:
         raise ValueError(f"multiplier must be >= 0, got {min_size_multiplier}")
 
 
+def _c3_conflict(ci: Chain, cj: Chain) -> bool:
+    """C3 fails for the pair: their supports meet and their member size
+    ranges interleave."""
+    if not ci.support_mask & cj.support_mask:
+        return False
+    lo_i, hi_i = ci.size_range()
+    lo_j, hi_j = cj.size_range()
+    return lo_i <= hi_j and lo_j <= hi_i
+
+
 def select_conditioned_chains(
     cc: ChainCollection, k: int, min_size_multiplier: int, seed: int
 ) -> tuple[tuple[int, ...], Ordering, SelectionTrace]:
@@ -329,14 +339,9 @@ def select_conditioned_chains(
     adj = [0] * len(i2)
     for a, i in enumerate(i2):
         for b in range(a + 1, len(i2)):
-            j = i2[b]
-            ci, cj = cc.chains[i], cc.chains[j]
-            if ci.support_mask & cj.support_mask:
-                lo_i, hi_i = ci.size_range()
-                lo_j, hi_j = cj.size_range()
-                if lo_i <= hi_j and lo_j <= hi_i:
-                    adj[a] |= 1 << b
-                    adj[b] |= 1 << a
+            if _c3_conflict(cc.chains[i], cc.chains[i2[b]]):
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
     i3 = tuple(i2[a] for a in greedy_independent_set_adj(adj))
     trace.stage_sets["I3"] = i3
 
@@ -378,9 +383,12 @@ def check_conditions(
     k: int,
     min_size_multiplier: int = 3,
 ) -> ConditionsReport:
-    """Exhaustive verification of C1-C4 over the selected chain indices."""
+    """Exhaustive verification of C1-C4 over the selected chain indices.
+
+    A repeated index counts once, as in ``build_tree``.
+    """
     _check_c4_parameters(k, min_size_multiplier)
-    selected = tuple(selected)
+    selected = tuple(dict.fromkeys(selected))
     for i in selected:
         if not 0 <= i < len(cc):
             raise ValueError(f"selected index {i} out of range")
@@ -396,11 +404,8 @@ def check_conditions(
                 bi, bj = ci.member_below(x), cj.member_below(x)
                 if bi & ~bj and bj & ~bi:
                     v1.append(f"chains {i},{j}: incomparable members below element {x}")
-            if common:
-                lo_i, hi_i = ci.size_range()
-                lo_j, hi_j = cj.size_range()
-                if lo_i <= hi_j and lo_j <= hi_i:
-                    v3.append(f"chains {i},{j}: member sizes interleave")
+            if _c3_conflict(ci, cj):
+                v3.append(f"chains {i},{j}: member sizes interleave")
         for x, y in zip(ci.added, ci.added[1:]):
             if not ordering.before(x, y):
                 v2.append(f"chain {i}: added {x} before {y} against the ordering")

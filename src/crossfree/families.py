@@ -19,8 +19,6 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import and_
 
 MAX_GROUND = 64
 
@@ -209,19 +207,16 @@ def superset_rows(fam: Family) -> list[int]:
     rows[i] is the AND of the membership masks of the elements of sets[i].
     Strict supersets are larger, so they come later in canonical order:
     walking the family backwards, masks indexes sets[i + 1:] when row i is
-    taken, and i joins it afterwards. An element in every member separates
-    no two members, so the walk skips it; on a few large nested sets that
-    leaves almost nothing to walk.
+    taken, and i joins it afterwards.
     """
     sets = fam.sets
-    common = reduce(and_, sets, -1)
     masks = [0] * fam.ground.n
     rows = [0] * len(sets)
     later = 0
     for i in range(len(sets) - 1, -1, -1):
         row = later
         bit = 1 << i
-        s = sets[i] & ~common
+        s = sets[i]
         while s:
             e = s.bit_length() - 1
             row &= masks[e]

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .chains import Chain, ChainCollection, Ordering
-from .crossing import Witness, dilworth_partition
-from .families import Family, GroundSet, canonical_key, format_set, mask_of
+from .crossing import Witness
+from .families import GroundSet, canonical_key, format_set, mask_of
 
 
 class MalformedTreeError(ValueError):
@@ -327,9 +327,10 @@ def build_tree(
     of each root's child labels), excludes the per-element top-of-chain
     indices, matches distinct representatives, prunes candidate subtrees to
     make the edge labels consistent, and finally keeps only the subtrees
-    whose leftmost-vertex S-sets form chains at every depth. A tree is
-    returned only if it validates and every non-leaf meets the branching
-    target; None is the expected outcome for most desk-scale inputs.
+    whose leftmost-vertex S-sets lie on a longest chain at every depth. A
+    tree is returned only if it validates and every non-leaf meets the
+    branching target; None is the expected outcome for most desk-scale
+    inputs.
     """
     # A repeated root would fill more than one of the h slots of tops[x].
     selected = tuple(dict.fromkeys(selected))
@@ -338,6 +339,8 @@ def build_tree(
             raise ValueError(f"chain index {i} out of range for {len(cc)} chains")
     if height < 0:
         raise ValueError(f"height must be >= 0, got {height}")
+    if branching < 1:
+        raise ValueError(f"branching must be >= 1, got {branching}")
     h = cc.uniform_h()
     trees: dict[int, CrossSupportTree] = {
         i: CrossSupportTree(TreeNode(i, None)) for i in selected
@@ -390,7 +393,11 @@ def build_tree(
 
 
 def _assemble_root(cc, ordering, trees, i, z_i, tops, branching):
-    """One root of one builder level; returns a tree or a failure reason."""
+    """One root of one builder level; returns a tree or a failure reason.
+
+    At each depth it keeps the labels whose leftmost-vertex S-sets lie on a
+    longest chain.
+    """
     # Distinct representatives: process labels left to right (reverse
     # ordering) and take the candidate with the largest member below x.
     taken: set[int] = set()
@@ -428,7 +435,8 @@ def _assemble_root(cc, ordering, trees, i, z_i, tops, branching):
                 return f"subtree for label {x} cannot be anchored on its label"
         subtrees[x] = TreeNode(sub.root.chain, x, sub.root.children)
 
-    # Keep only labels whose leftmost-vertex S-sets form a chain per depth.
+    # The S-sets of distinct labels differ: they are members of disjoint
+    # chains, or of one chain below different labels.
     labels = sorted(subtrees, key=ordering.position, reverse=True)
     depth = CrossSupportTree(subtrees[labels[0]]).height()
     kept = list(labels)
@@ -439,9 +447,7 @@ def _assemble_root(cc, ordering, trees, i, z_i, tops, branching):
             for _ in range(d):
                 node = node.children[0]
             s_of[x] = cc.chains[node.chain].member_below(x)
-        fam = Family(cc.ground, tuple(set(s_of.values())))
-        dec = dilworth_partition(fam)
-        members = set(max(dec.chains, key=len))
+        members = _longest_chain(s_of.values())
         kept = [x for x in kept if s_of[x] in members]
     if len(kept) < branching:
         return f"only {len(kept)} chain-compatible subtrees < branching {branching}"
@@ -455,6 +461,22 @@ def _assemble_root(cc, ordering, trees, i, z_i, tops, branching):
     if not report.ok:
         return f"assembled tree fails validation: {report.as_dict()}"
     return tree
+
+
+def _longest_chain(sets) -> set[int]:
+    """The members of a longest chain of ``sets`` under strict inclusion.
+
+    A strict subset is smaller, so it comes earlier in canonical order:
+    best[i], the longest chain ending at order[i], extends the longest
+    best[j] over the strict subsets order[j]. The first maximal chain wins
+    ties, both there and among the ends.
+    """
+    order = sorted(sets, key=canonical_key)
+    best: list[list[int]] = []
+    for s in order:
+        below = [chain for chain in best if _strict_subset(chain[-1], s)]
+        best.append(max(below, key=len, default=[]) + [s])
+    return set(max(best, key=len, default=[]))
 
 
 def _strict_subset(a: int, b: int) -> bool:

@@ -277,6 +277,17 @@ def test_check_conditions_c3_violation():
     assert rep.c1.passed and not rep.c3.passed
 
 
+def test_check_conditions_counts_repeated_indices_once():
+    g = GroundSet(8)
+    chains = (Chain(mask_of([1, 2]), (0,)), Chain(mask_of([1, 2, 3]), (0,)))
+    cc = ChainCollection(g, chains)
+    ordering = Ordering.natural(8)
+    # Multiplier 3 makes C4 fail, so a doubled index would double its line.
+    for repeated, once in (((0, 0), (0,)), ((1, 0, 1, 0), (1, 0))):
+        assert check_conditions(cc, repeated, ordering, 2, 3) == check_conditions(cc, once, ordering, 2, 3)
+    assert check_conditions(cc, (0, 0), ordering, 2, 3).c3.passed
+
+
 def test_check_conditions_c2_c4_violations():
     g = GroundSet(8)
     cc = ChainCollection(g, (Chain(mask_of([4, 5]), (1, 0)),))

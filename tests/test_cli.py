@@ -372,15 +372,31 @@ def test_directory_as_family_path_is_usage_error(capsys, tmp_path):
     assert_usage_error(code, err)
 
 
-@pytest.mark.parametrize("indices, height", [("0,7", "1"), ("0,1", "-1")])
-def test_tree_build_rejects_out_of_range_inputs(capsys, indices, height):
+@pytest.mark.parametrize(
+    "indices, height, branching",
+    [
+        pytest.param("0,7", "1", "1", id="0,7-1"),
+        pytest.param("0,1", "-1", "1", id="0,1--1"),
+        pytest.param("0,1", "1", "0", id="branching-0"),
+        pytest.param("0,1", "1", "-2", id="branching--2"),
+    ],
+)
+def test_tree_build_rejects_out_of_range_inputs(capsys, indices, height, branching):
     code, out, err = run(
         capsys, "tree", "build",
         "--chains", str(FIXTURES / "chains.txt"), "--ordering", str(FIXTURES / "ordering.txt"),
-        "--indices", indices, "--k", "2", "--height", height, "--branching", "1",
+        "--indices", indices, "--k", "2", "--height", height, "--branching", branching,
     )
     assert out == ""
     assert_usage_error(code, err)
+
+
+@pytest.mark.parametrize("indices", ["0,0", "0,1,0"])
+def test_chains_check_counts_repeated_indices_once(capsys, indices):
+    args = ["chains", "check", "--k", "2", "--ordering", str(FIXTURES / "ordering.txt"),
+            str(FIXTURES / "chains.txt")]
+    once = ",".join(dict.fromkeys(indices.split(",")))
+    assert run(capsys, *args, "--indices", indices) == run(capsys, *args, "--indices", once)
 
 
 @pytest.mark.parametrize(

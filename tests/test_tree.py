@@ -1,14 +1,17 @@
 import json
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossfree import crossing
 from crossfree.chains import Chain, ChainCollection, Ordering, parse_chain_collection, parse_ordering
-from crossfree.families import GroundSet, classify_pair, mask_of
+from crossfree.families import Family, GroundSet, canonical_key, classify_pair, mask_of
 from crossfree.tree import (
+    _longest_chain,
     CrossSupportTree,
     ExtractionError,
     MalformedTreeError,
@@ -210,13 +213,63 @@ def test_build_tree_ignores_repeated_indices():
     assert tree_to_json(twice.tree) == tree_to_json(once.tree)
 
 
-def test_build_tree_fails_without_containments():
+def incomparable_chains():
     # pairwise incomparable bases: no C_i(x) strictly inside C_j(x)
-    g = GroundSet(12)
     chains = tuple(Chain(mask_of([2 + 2 * i, 3 + 2 * i]), (0, 1)) for i in range(4))
-    cc = ChainCollection(g, chains)
-    res = build_tree(cc, tuple(range(4)), Ordering.natural(12), 2, 1, 1)
+    return ChainCollection(GroundSet(12), chains), Ordering.natural(12)
+
+
+def test_build_tree_fails_without_containments():
+    cc, ordering = incomparable_chains()
+    res = build_tree(cc, tuple(range(4)), ordering, 2, 1, 1)
     assert res.tree is None
+
+
+@pytest.mark.parametrize("branching", [0, -2])
+def test_build_tree_rejects_branching_below_one(branching):
+    # In incomparable_chains no root matches a subtree.
+    for cc, ordering in (four_nested_chains(), incomparable_chains()):
+        with pytest.raises(ValueError, match="branching"):
+            build_tree(cc, tuple(range(4)), ordering, 2, 1, branching)
+
+
+def test_build_tree_runs_no_matching(monkeypatch):
+    # The tree_build_nested16 golden input: 16 chains with nested prefix
+    # bases that each add 0..5.
+    calls = []
+    matching = crossing._max_bipartite_matching
+    monkeypatch.setattr(
+        crossing, "_max_bipartite_matching", lambda *args: calls.append(args) or matching(*args)
+    )
+    chains = tuple(Chain(mask_of(range(6, 6 + s)), tuple(range(6))) for s in range(1, 17))
+    cc = ChainCollection(GroundSet(22), chains)
+    res = build_tree(cc, tuple(range(16)), Ordering.natural(22), 2, 2, 2)
+    assert tree_to_json(res.tree) == (GOLDEN / "tree_build_nested16.json").read_text()
+    assert calls == []
+
+
+def is_chain(sets):
+    """``sets`` in canonical order strictly increase under inclusion."""
+    order = sorted(sets, key=canonical_key)
+    return all(a & ~b == 0 and a != b for a, b in zip(order, order[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.integers(0, 2**5 - 1), max_size=12))
+def test_longest_chain_matches_brute_force(sets):
+    longest = max(r for r in range(len(sets) + 1) for sub in combinations(sets, r) if is_chain(sub))
+    chain = _longest_chain(sets)
+    assert len(chain) == longest
+    assert chain <= sets and is_chain(chain)
+
+
+def test_longest_chain_beats_the_largest_partition_chain():
+    # {1} < {1,2} < {0,1,2} is the longest chain; a minimum chain partition
+    # of these four sets has two chains of two.
+    sets = (0b010, 0b101, 0b110, 0b111)
+    partition = crossing.dilworth_partition(Family(GroundSet(3), sets))
+    assert max(len(chain) for chain in partition.chains) == 2
+    assert _longest_chain(sets) == {0b010, 0b110, 0b111}
 
 
 def mutant(seed):
