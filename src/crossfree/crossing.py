@@ -22,6 +22,7 @@ from .families import (
     membership_masks,
     superset_rows,
 )
+from .symmetry import set_orbits
 
 MODES = ("strict", "weak")
 
@@ -92,11 +93,20 @@ def find_pairwise_crossing_witness(fam: Family, k: int, mode: str):
 
     Complete search: returns None only when no k pairwise-crossing members
     exist in the family.
+
+    A ground-set permutation that maps the family onto itself maps crossing
+    pairs to crossing pairs, so the family's set orbits (``set_orbits``)
+    are orbits of the crossing graph. The kernel uses them for orbital
+    fixing: a refuted root lies in no k-clique, so neither does any set in
+    its orbit. It asks for them only once a refuted root has cost more
+    nodes than the family has sets, so calls that end quickly never search
+    for the group. The witness is the same lex-least one either way.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     graph = crossing_graph(fam, mode)
-    clique = kernel.find_k_clique(graph.adj, k)
+    # Positional: the kernel may be wrapped as f(adj, *rest).
+    clique = kernel.find_k_clique(graph.adj, k, lambda: set_orbits(fam))
     if clique is None:
         return None
     return Witness(fam.ground, tuple(fam.sets[i] for i in clique), mode)

@@ -15,6 +15,10 @@ fresh complements. A search builds the table once, for the vertices of its
 root candidate mask only; every later candidate mask is a subset of it, so
 no other entry is ever read. It is built the first time a node needs the
 bound (need > 2), so the many tiny calls that never color pay nothing.
+
+``find_k_clique`` may also take the graph's orbits for orbital fixing
+(Margot, "Exploiting orbits in symmetric ILP", Math. Program. 98, 2003);
+see ``_search_fixing``.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ def _color_bound(nonadj, cand: int, need: int) -> int:
 
 
 def _search(adj, cand: int, k: int):
-    """Shared DFS behind both public entry points.
+    """DFS behind ``find_k_clique_in`` and the plain ``find_k_clique``.
 
     Neither public function calls the other, so a wrapper installed on one
     of them sees exactly the calls made to it.
@@ -84,11 +88,77 @@ def _search(adj, cand: int, k: int):
     return None
 
 
+# find_k_clique asks for orbits once a refuted root's subtree has cost more
+# than this many nodes per vertex of the graph.
+_FIX_AFTER = 1
+
+
+def _search_fixing(adj, k: int, orbits):
+    """find_k_clique's root loop with orbital fixing.
+
+    The loop takes the live roots in index order, as the exclude spine of
+    ``_search`` does, and runs the same DFS in each root's include subtree.
+    Once root v is refuted, v lies in no k-clique: every lower root has
+    already left the live set for lying in none. An automorphism maps
+    k-cliques to k-cliques, so no image of v lies in one either, and v's
+    whole orbit leaves the live roots. Only vertices in no k-clique leave,
+    so the clique found is still the lex-least one, and each subtree is
+    searched in the same order as before.
+
+    Finding the orbits costs a group search, so orbits() is called at most
+    once, when a refuted root's subtree first costs more than
+    ``_FIX_AFTER * len(adj)`` nodes. The roots refuted up to then drop
+    their orbits at once. Calls that find a clique at once, or refute
+    every root cheaply, never pay for the group.
+    """
+    n = len(adj)
+    live = (1 << n) - 1
+    nonadj = _nonadj_table(adj, live) if k > 2 else None
+    orbit = None
+    while live.bit_count() >= k:
+        if nonadj is not None and _color_bound(nonadj, live, k) < k:
+            return None
+        low = live & -live
+        live ^= low
+        v = low.bit_length() - 1
+        stack = [(low, live & adj[v], k - 1)]
+        nodes = 0
+        while stack:
+            nodes += 1
+            clique, cand, need = stack.pop()
+            if need <= 0:
+                return elements_of(clique)
+            if cand.bit_count() < need:
+                continue
+            if need > 2 and _color_bound(nonadj, cand, need) < need:
+                continue
+            low = cand & -cand
+            rest = cand ^ low
+            stack.append((clique, rest, need))
+            stack.append((clique | low, rest & adj[low.bit_length() - 1], need - 1))
+        if orbit is not None:
+            live &= ~orbit[v]
+        elif nodes > _FIX_AFTER * n:
+            orbit = orbits()
+            for u in range(v + 1):
+                live &= ~orbit[u]
+    return None
+
+
 def find_k_clique_in(adj, cand: int, k: int):
     """Lexicographically least k-clique with all vertices inside cand, or None."""
     return _search(adj, cand, k)
 
 
-def find_k_clique(adj, k: int):
-    """Lexicographically least k-clique of the whole graph, or None."""
-    return _search(adj, (1 << len(adj)) - 1, k)
+def find_k_clique(adj, k: int, orbits=None):
+    """Lexicographically least k-clique of the whole graph, or None.
+
+    orbits, when given, is a zero-argument callable returning one mask per
+    vertex v: v's orbit under automorphisms of the graph (any subgroup
+    will do). The search then drops the orbit of every refuted root, and
+    calls orbits() at most once, only after a refuted root proves costly
+    (see ``_search_fixing``). Without it this is the plain search.
+    """
+    if orbits is None or k < 2:
+        return _search(adj, (1 << len(adj)) - 1, k)
+    return _search_fixing(adj, k, orbits)

@@ -2,6 +2,10 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import random
+import subprocess
+import sys
 from itertools import combinations, islice
 from pathlib import Path
 
@@ -9,7 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossfree import crossing, symmetry
 from crossfree.cli import build_parser, main
+from crossfree.constructions import gen_cyclic_intervals
+from crossfree.families import Family, elements_of, serialize_family
 
 FIXTURES = Path(__file__).parent / "fixtures" / "crosstree"
 GOLDEN = Path(__file__).parent / "golden"
@@ -174,6 +181,49 @@ def test_check_json_reparses(capsys, tmp_path):
     code, out, _ = run(capsys, "check", "--k", "2", "--format", "json", bad)
     doc = json.loads(out)
     assert code == 1 and doc["cross_free"] is False and doc["witness"] == ["0,1", "1,2"]
+
+
+def test_python_dash_m_runs_the_cli(capsys, tmp_path):
+    bad = write_family(tmp_path, "n 4\n0,1\n1,2\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "crossfree", "check", "--k", "2", bad], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, "check", "--k", "2", bad)
+
+
+# The lex-least 12-witness of the strict intervals n=24 under the general
+# relabelling random.Random(101), as the plain kernel finds it.
+RELABELLED_INTERVALS_24_WITNESS = [
+    "0,1,6,8,9,10,11,13,14,17,18,21", "0,2,6,8,9,10,11,13,14,17,18,21",
+    "0,1,6,9,10,11,13,14,16,17,18,21", "1,4,6,7,10,11,14,16,17,18,19,22",
+    "1,4,6,7,11,14,15,16,17,18,19,22", "1,3,4,5,7,11,14,15,16,19,20,22",
+    "1,3,4,5,7,12,14,15,16,19,20,22", "1,3,4,7,11,14,15,16,17,19,20,22",
+    "1,4,6,7,11,14,15,16,17,19,20,22", "0,1,6,10,11,13,14,16,17,18,21,22",
+    "1,6,7,10,11,13,14,16,17,18,21,22", "1,6,7,10,11,14,16,17,18,19,21,22",
+]
+
+
+def test_check_relabelled_strict_intervals_n24(capsys, tmp_path, monkeypatch):
+    # Index order is bad for this relabelling: the plain kernel takes
+    # seconds for k=12. Orbital fixing gives the same witness, and both
+    # calls look for the group once.
+    base = gen_cyclic_intervals(24, False)
+    perm = random.Random(101).sample(range(24), 24)
+    fam = Family(base.ground, tuple(sum(1 << perm[e] for e in elements_of(m)) for m in base.sets))
+    path = write_family(tmp_path, serialize_family(fam))
+    searched = []
+
+    def set_orbits(fam):
+        searched.append(fam)
+        return symmetry.set_orbits(fam)
+
+    monkeypatch.setattr(crossing, "set_orbits", set_orbits)
+    code, out, _ = run(capsys, "check", "--k", "12", "--format", "json", path)
+    assert code == 1 and json.loads(out)["witness"] == RELABELLED_INTERVALS_24_WITNESS
+    code, out, _ = run(capsys, "check", "--k", "13", "--format", "json", path)
+    assert code == 0 and json.loads(out)["cross_free"]
+    assert len(searched) == 2
 
 
 def test_classify(capsys, tmp_path):

@@ -1,11 +1,14 @@
 import random
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossfree import kernel
-from crossfree.constructions import gen_cyclic_intervals
+from crossfree.constructions import gen_cyclic_intervals, gen_laminar_max
 from crossfree.crossing import crossing_graph
+from crossfree.families import Family, GroundSet, elements_of
+from crossfree.symmetry import set_orbits
 
 
 def random_adj(rng, n, p):
@@ -124,3 +127,51 @@ def test_strict_intervals_n24_clique_number_is_12():
     adj = crossing_graph(gen_cyclic_intervals(24, False), "strict").adj
     assert kernel.find_k_clique(adj, 12) == tuple(range(264, 276))
     assert kernel.find_k_clique(adj, 13) is None
+
+
+def relabelled(fam, rng):
+    n = fam.ground.n
+    perm = rng.sample(range(n), n)
+    return Family(fam.ground, tuple(sum(1 << perm[e] for e in elements_of(m)) for m in fam.sets))
+
+
+@st.composite
+def symmetric_queries(draw):
+    """A family (random n <= 7, relabelled intervals n <= 8, all subsets or a
+    relabelled laminar family), a mode and a k of 2-5."""
+    kind = draw(st.sampled_from(("random", "intervals", "all", "laminar")))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "random":
+        n = draw(st.integers(1, 7))
+        fam = Family(GroundSet(n), tuple(draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40))))
+    elif kind == "intervals":
+        fam = relabelled(gen_cyclic_intervals(draw(st.integers(3, 8)), draw(st.booleans())), rng)
+    elif kind == "all":
+        n = draw(st.integers(1, 6))
+        fam = Family(GroundSet(n), tuple(range(1 << n)))
+    else:
+        fam = relabelled(gen_laminar_max(draw(st.integers(2, 8))), rng)
+    return fam, draw(st.sampled_from(("strict", "weak"))), draw(st.integers(2, 5))
+
+
+def test_orbital_fixing_matches_plain_kernel():
+    # _FIX_AFTER = 0 asks for orbits at the first refuted root, so every
+    # example that refutes a root takes the orbit path.
+    calls = {"examples": 0, "fired": 0}
+
+    @settings(deadline=None, max_examples=400)
+    @given(symmetric_queries())
+    def check(query):
+        fam, mode, k = query
+        adj = crossing_graph(fam, mode).adj
+
+        def orbits():
+            calls["fired"] += 1
+            return set_orbits(fam)
+
+        calls["examples"] += 1
+        assert kernel.find_k_clique(adj, k, orbits) == kernel.find_k_clique(adj, k)
+
+    with mock.patch.object(kernel, "_FIX_AFTER", 0):
+        check()
+    assert calls["fired"] >= calls["examples"] // 4
