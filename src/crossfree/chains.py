@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .crossing import (
     dilworth_partition,
     find_pairwise_crossing_witness,
-    greedy_independent_set_adj,
+    greedy_independent_set,
 )
 from .families import (
     Family,
@@ -342,7 +342,7 @@ def select_conditioned_chains(
             if _c3_conflict(cc.chains[i], cc.chains[i2[b]]):
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
-    i3 = tuple(i2[a] for a in greedy_independent_set_adj(adj))
+    i3 = tuple(i2[a] for a in greedy_independent_set(adj))
     trace.stage_sets["I3"] = i3
 
     # Stage 4 (C4): minimum member size filter.

@@ -200,16 +200,12 @@ def dilworth_partition(fam: Family) -> ChainDecomposition:
     return dec
 
 
-def greedy_independent_set(graph: CrossingGraph) -> tuple[int, ...]:
+def greedy_independent_set(adj) -> tuple[int, ...]:
     """Independent vertex set of size >= |V|/(avg degree + 1).
 
     Minimum-degree greedy removal; ties broken by smallest index. The
     independence of the result is re-verified before returning.
     """
-    return greedy_independent_set_adj(graph.adj)
-
-
-def greedy_independent_set_adj(adj) -> tuple[int, ...]:
     n = len(adj)
     alive = (1 << n) - 1
     chosen = []

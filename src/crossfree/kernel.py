@@ -11,14 +11,15 @@ that cannot contain a k-clique, so the lex-least contract survives.
 The bound reads a complement table, ``nonadj[v] = ~(adj[v] | 1 << v)``:
 the vertices that may share v's color class, with v itself removed. Each
 coloring step is then one AND, where the plain adjacency would allocate two
-fresh complements. A search builds the table once, for the vertices of its
-root candidate mask only; every later candidate mask is a subset of it, so
-no other entry is ever read. It is built the first time a node needs the
-bound (need > 2), so the many tiny calls that never color pay nothing.
+fresh complements. A search builds the table once, at entry, for the
+vertices of its candidate mask only; every later candidate mask is a subset
+of it, so no other entry is ever read. Only a search for k > 2 over at
+least k candidates can ever need the bound, so the many tiny calls that
+never color build no table.
 
 ``find_k_clique`` may also take the graph's orbits for orbital fixing
 (Margot, "Exploiting orbits in symmetric ILP", Math. Program. 98, 2003);
-see ``_search_fixing``.
+see ``_search``.
 """
 
 from __future__ import annotations
@@ -60,60 +61,30 @@ def _color_bound(nonadj, cand: int, need: int) -> int:
     return classes
 
 
-def _search(adj, cand: int, k: int):
-    """DFS behind ``find_k_clique_in`` and the plain ``find_k_clique``.
-
-    Neither public function calls the other, so a wrapper installed on one
-    of them sees exactly the calls made to it.
-    """
-    root = cand
-    nonadj = None
-    stack = [(0, cand, k)]
-    while stack:
-        clique, cand, need = stack.pop()
-        if need <= 0:
-            return elements_of(clique)
-        if cand.bit_count() < need:
-            continue
-        if need > 2:
-            if nonadj is None:
-                nonadj = _nonadj_table(adj, root)
-            if _color_bound(nonadj, cand, need) < need:
-                continue
-        low = cand & -cand
-        rest = cand ^ low
-        # Pushed last, the include child is explored first.
-        stack.append((clique, rest, need))
-        stack.append((clique | low, rest & adj[low.bit_length() - 1], need - 1))
-    return None
-
-
 # find_k_clique asks for orbits once a refuted root's subtree has cost more
 # than this many nodes per vertex of the graph.
 _FIX_AFTER = 1
 
 
-def _search_fixing(adj, k: int, orbits):
-    """find_k_clique's root loop with orbital fixing.
+def _search(adj, live: int, k: int, orbits=None):
+    """The one DFS behind ``find_k_clique_in`` and ``find_k_clique``.
 
-    The loop takes the live roots in index order, as the exclude spine of
-    ``_search`` does, and runs the same DFS in each root's include subtree.
-    Once root v is refuted, v lies in no k-clique: every lower root has
-    already left the live set for lying in none. An automorphism maps
-    k-cliques to k-cliques, so no image of v lies in one either, and v's
-    whole orbit leaves the live roots. Only vertices in no k-clique leave,
-    so the clique found is still the lex-least one, and each subtree is
-    searched in the same order as before.
+    The outer loop is the exclude spine: it takes the live roots in index
+    order and runs the include-first DFS in each root's subtree. A refuted
+    root v lies in no k-clique, as every lower root has left the live set
+    for lying in none. With orbits (passed only with every vertex live), an
+    automorphism maps k-cliques to k-cliques, so v's whole orbit leaves the
+    live roots; the clique found is still the lex-least one. Finding the
+    orbits costs a group search, so orbits() is called at most once, when a
+    refuted root's subtree first costs more than ``_FIX_AFTER * len(adj)``
+    nodes, and the roots refuted up to then drop their orbits at once.
 
-    Finding the orbits costs a group search, so orbits() is called at most
-    once, when a refuted root's subtree first costs more than
-    ``_FIX_AFTER * len(adj)`` nodes. The roots refuted up to then drop
-    their orbits at once. Calls that find a clique at once, or refute
-    every root cheaply, never pay for the group.
+    Neither public function calls the other, so a wrapper installed on one
+    of them sees exactly the calls made to it.
     """
-    n = len(adj)
-    live = (1 << n) - 1
-    nonadj = _nonadj_table(adj, live) if k > 2 else None
+    if k <= 0:
+        return ()
+    nonadj = _nonadj_table(adj, live) if k > 2 and live.bit_count() >= k else None
     orbit = None
     while live.bit_count() >= k:
         if nonadj is not None and _color_bound(nonadj, live, k) < k:
@@ -134,11 +105,12 @@ def _search_fixing(adj, k: int, orbits):
                 continue
             low = cand & -cand
             rest = cand ^ low
+            # Pushed last, the include child is explored first.
             stack.append((clique, rest, need))
             stack.append((clique | low, rest & adj[low.bit_length() - 1], need - 1))
         if orbit is not None:
             live &= ~orbit[v]
-        elif nodes > _FIX_AFTER * n:
+        elif orbits is not None and nodes > _FIX_AFTER * len(adj):
             orbit = orbits()
             for u in range(v + 1):
                 live &= ~orbit[u]
@@ -154,11 +126,8 @@ def find_k_clique(adj, k: int, orbits=None):
     """Lexicographically least k-clique of the whole graph, or None.
 
     orbits, when given, is a zero-argument callable returning one mask per
-    vertex v: v's orbit under automorphisms of the graph (any subgroup
-    will do). The search then drops the orbit of every refuted root, and
-    calls orbits() at most once, only after a refuted root proves costly
-    (see ``_search_fixing``). Without it this is the plain search.
+    vertex v: v's orbit under automorphisms of the graph (any subgroup will
+    do). The search then drops the orbit of every refuted root (see
+    ``_search``).
     """
-    if orbits is None or k < 2:
-        return _search(adj, (1 << len(adj)) - 1, k)
-    return _search_fixing(adj, k, orbits)
+    return _search(adj, (1 << len(adj)) - 1, k, orbits)

@@ -346,9 +346,10 @@ def build_tree(
         i: CrossSupportTree(TreeNode(i, None)) for i in selected
     }
     survivors = list(selected)
-    per_root: dict = {}
+    # Every root is "ok" until a level excludes it or fails to assemble it.
+    per_root: dict = dict.fromkeys(selected, "ok")
 
-    for _level in range(height):
+    for level in range(1, height + 1):
         z_sets: dict[int, tuple[int, ...]] = {}
         for i in survivors:
             root = trees[i].root
@@ -365,19 +366,19 @@ def build_tree(
             for x in z_sets[i]:
                 pools.setdefault(x, []).append(i)
         tops: dict[int, tuple[int, ...]] = {}
-        excluded: set[int] = set()
         for x, pool in pools.items():
             ranked = sorted(pool, key=lambda i: (canonical_key(cc.chains[i].member_below(x)), i))
             tops[x] = tuple(ranked[-h:])
-            excluded.update(tops[x])
-        next_survivors = [i for i in survivors if i not in excluded]
 
         new_trees: dict[int, CrossSupportTree] = {}
-        for i in next_survivors:
+        for i in survivors:
+            top_at = [x for x in z_sets[i] if i in tops[x]]
+            if top_at:
+                per_root[i] = f"excluded at level {level}: a top chain below label {top_at[0]}"
+                continue
             result = _assemble_root(cc, ordering, trees, i, z_sets[i], tops, branching)
             if isinstance(result, CrossSupportTree):
                 new_trees[i] = result
-                per_root[i] = "ok"
             else:
                 per_root[i] = result
         trees = new_trees
@@ -385,8 +386,6 @@ def build_tree(
         if not survivors:
             break
 
-    if height == 0:
-        per_root = {i: "ok" for i in sorted(trees)}
     # Trees of height >= 1 passed validation in _assemble_root; level-0
     # trees are single nodes with range-checked chain indices.
     return BuildResult(trees[min(trees)] if trees else None, per_root)

@@ -23,7 +23,7 @@ from crossfree.constructions import gen_cyclic_intervals, gen_random_cross_free
 from crossfree.crossing import (
     dilworth_partition,
     find_pairwise_crossing_witness,
-    greedy_independent_set_adj,
+    greedy_independent_set,
     turan_floor,
     uniform_bound_report,
 )
@@ -172,7 +172,7 @@ def test_acceptance_7_turan_lemma():
                 if rng.random() < p:
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
-        ok = ok and len(greedy_independent_set_adj(adj)) >= turan_floor(n, adj)
+        ok = ok and len(greedy_independent_set(adj)) >= turan_floor(n, adj)
         if not ok:
             break
     report(7, ok, "500 graphs: greedy independent set >= ceil(|V|/(avg degree+1))")

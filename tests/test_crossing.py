@@ -14,7 +14,6 @@ from crossfree.crossing import (
     dilworth_partition,
     find_pairwise_crossing_witness,
     greedy_independent_set,
-    greedy_independent_set_adj,
     turan_floor,
     uniform_bound_report,
 )
@@ -276,14 +275,14 @@ def test_dilworth_deeper_than_recursion_limit():
 
 
 def test_greedy_independent_set_trivial_graphs():
-    assert greedy_independent_set_adj([0] * 8) == tuple(range(8))
+    assert greedy_independent_set([0] * 8) == tuple(range(8))
     full = [(0b11111 & ~(1 << v)) for v in range(5)]
-    assert len(greedy_independent_set_adj(full)) == 1
+    assert len(greedy_independent_set(full)) == 1
 
 
 def test_greedy_independent_set_meets_turan_floor():
     graph = crossing_graph(two_sets_n4(), "strict")
-    chosen = greedy_independent_set(graph)
+    chosen = greedy_independent_set(graph.adj)
     assert len(chosen) >= turan_floor(len(graph), graph.adj) == 2
 
 
@@ -292,7 +291,7 @@ def test_turan_floor_random_graphs():
     for _ in range(100):
         n = rng.randrange(1, 40)
         adj = random_graph(rng, n, rng.random())
-        assert len(greedy_independent_set_adj(adj)) >= turan_floor(n, adj)
+        assert len(greedy_independent_set(adj)) >= turan_floor(n, adj)
 
 
 def test_uniform_bound_report():

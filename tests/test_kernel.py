@@ -121,12 +121,36 @@ def test_color_bound_self_loop():
     assert kernel._color_bound(kernel._nonadj_table(adj, 0b111), 0b111, 5) == 2
 
 
+def counted_search(fam, k, with_orbits):
+    """find_k_clique on fam's strict crossing graph, with the number of
+    _color_bound calls it made and of orbits() calls."""
+    adj = crossing_graph(fam, "strict").adj
+    fired = []
+
+    def orbits():
+        fired.append(1)
+        return set_orbits(fam)
+
+    with mock.patch.object(kernel, "_color_bound", side_effect=kernel._color_bound) as bound:
+        clique = kernel.find_k_clique(adj, k, orbits) if with_orbits else kernel.find_k_clique(adj, k)
+    return clique, bound.call_count, len(fired)
+
+
 def test_strict_intervals_n24_clique_number_is_12():
     # The shape of the benchmark's largest witness check: 552 strict cyclic
-    # intervals whose clique number is n/2.
-    adj = crossing_graph(gen_cyclic_intervals(24, False), "strict").adj
-    assert kernel.find_k_clique(adj, 12) == tuple(range(264, 276))
-    assert kernel.find_k_clique(adj, 13) is None
+    # intervals whose clique number is n/2. The bound counts pin the
+    # kernel's work, so a change that prunes less (or more) shows here.
+    fam = gen_cyclic_intervals(24, False)
+    witness = tuple(range(264, 276))
+    assert counted_search(fam, 12, False) == (witness, 37_521, 0)
+    assert counted_search(fam, 12, True) == (witness, 3_962, 1)
+    assert counted_search(fam, 13, False) == (None, 819, 0)
+    assert counted_search(fam, 13, True) == (None, 819, 0)
+
+
+def test_intervals_n37_with_trivial_sets_k3_never_fetch_orbits():
+    # verify's check --k 3 on 1,334 sets: the first root finds the witness.
+    assert counted_search(gen_cyclic_intervals(37, True), 3, True) == ((75, 76, 77), 76, 0)
 
 
 def relabelled(fam, rng):
@@ -157,21 +181,30 @@ def symmetric_queries(draw):
 def test_orbital_fixing_matches_plain_kernel():
     # _FIX_AFTER = 0 asks for orbits at the first refuted root, so every
     # example that refutes a root takes the orbit path.
-    calls = {"examples": 0, "fired": 0}
+    calls = {"examples": 0, "fired": 0, "brute": 0}
 
     @settings(deadline=None, max_examples=400)
     @given(symmetric_queries())
     def check(query):
         fam, mode, k = query
         adj = crossing_graph(fam, mode).adj
+        fired = []
 
         def orbits():
-            calls["fired"] += 1
+            fired.append(1)
             return set_orbits(fam)
 
         calls["examples"] += 1
-        assert kernel.find_k_clique(adj, k, orbits) == kernel.find_k_clique(adj, k)
+        clique = kernel.find_k_clique(adj, k, orbits)
+        calls["fired"] += len(fired)
+        assert clique == kernel.find_k_clique(adj, k)
+        # The plain kernel shares its DFS with the orbit path, so small
+        # families also meet an oracle that shares no code with either.
+        if len(adj) <= 16:
+            assert clique == brute_cliques(adj, (1 << len(adj)) - 1, k)
+            calls["brute"] += len(fired)
 
     with mock.patch.object(kernel, "_FIX_AFTER", 0):
         check()
     assert calls["fired"] >= calls["examples"] // 4
+    assert calls["brute"] >= calls["examples"] // 8

@@ -233,19 +233,38 @@ def test_build_tree_rejects_branching_below_one(branching):
             build_tree(cc, tuple(range(4)), ordering, 2, 1, branching)
 
 
+def nested16():
+    """The tree_build_nested16 golden input: 16 chains with nested prefix
+    bases that each add 0..5."""
+    chains = tuple(Chain(mask_of(range(6, 6 + s)), tuple(range(6))) for s in range(1, 17))
+    return ChainCollection(GroundSet(22), chains), Ordering.natural(22)
+
+
 def test_build_tree_runs_no_matching(monkeypatch):
-    # The tree_build_nested16 golden input: 16 chains with nested prefix
-    # bases that each add 0..5.
     calls = []
     matching = crossing._max_bipartite_matching
     monkeypatch.setattr(
         crossing, "_max_bipartite_matching", lambda *args: calls.append(args) or matching(*args)
     )
-    chains = tuple(Chain(mask_of(range(6, 6 + s)), tuple(range(6))) for s in range(1, 17))
-    cc = ChainCollection(GroundSet(22), chains)
-    res = build_tree(cc, tuple(range(16)), Ordering.natural(22), 2, 2, 2)
+    cc, ordering = nested16()
+    res = build_tree(cc, tuple(range(16)), ordering, 2, 2, 2)
     assert tree_to_json(res.tree) == (GOLDEN / "tree_build_nested16.json").read_text()
     assert calls == []
+
+
+@pytest.mark.parametrize("height", range(5))
+def test_build_tree_reports_every_selected_root(height):
+    # Height 3 fails on the nested16 chains; every level excludes some roots.
+    cc, ordering = nested16()
+    selected = (15, 3, 0, 7, 11, 1, 9, 4, 13, 2, 6, 14, 5, 8, 12, 10)
+    res = build_tree(cc, selected, ordering, 2, height, 1)
+    assert sorted(res.per_root) == sorted(selected)
+    ok = sorted(i for i, reason in res.per_root.items() if reason == "ok")
+    if height >= 3:
+        assert res.tree is None and ok == []
+        assert res.per_root[10] == "excluded at level 1: a top chain below label 3"
+    else:
+        assert res.tree.root.chain == ok[0]
 
 
 def is_chain(sets):
