@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -416,17 +417,24 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a warning, such as a merged duplicate set, as one ``warning:`` line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
-        # Format, tree, search-size and JSON errors all subclass ValueError;
-        # OSError covers unreadable paths such as missing files and directories.
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (ValueError, OSError) as exc:
+            # Format, tree, search-size and JSON errors all subclass ValueError;
+            # OSError covers unreadable paths such as missing files and directories.
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
 
 
 if __name__ == "__main__":

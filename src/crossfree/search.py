@@ -6,16 +6,29 @@ vertex order of the universe's crossing graph, run with an explicit stack of
 universe. Every candidate of a node is admissible: no (k-1)-clique of the
 chosen sets lies in its crossing neighbourhood, so adding it makes no
 k-clique. Including v can only break that for a neighbour u of v, and only
-through a (k-1)-clique containing v, so the filter asks the clique kernel
-for a (k-2)-clique in chosen ∩ N(v) ∩ N(u) and keeps the other candidates
-unchecked.
+through a (k-1)-clique containing v, so the filter looks for a
+(k-2)-clique in chosen ∩ N(v) ∩ N(u) and keeps the other candidates
+unchecked. Most of these queries are answered inline: for k=2 every
+neighbour goes, and an empty mask keeps u; only k >= 4 with a nonempty
+mask asks the clique kernel.
+
+The spine of the search tree, the nodes with nothing chosen, takes one
+root after another, and the family's symmetry group lets it drop each
+explored root's whole orbit (orbital branching: Ostrowski, Linderoth,
+Rossi & Smriglio, "Orbital branching", Math. Program. 126, 2011). The
+group costs a search of its own (``symmetry.set_orbits``), so it is
+fetched at most once, on the rule of the clique kernel's orbital fixing:
+when a spine node is popped after the previous root's include subtree cost
+more than ``kernel._FIX_AFTER`` nodes per set. Small and easy searches
+never pay for it.
 
 A node is pruned unless its upper bound strictly beats the incumbent. The
 cover bound is asked as a threshold test that stops summing once the answer
 is settled, so it prunes the same nodes as the full sum. The subtree
 holding the first optimum in include-first order is therefore never pruned,
 and later optima of equal size never replace it, so the search returns the
-lexicographically least optimum in one pass. The search is complete, so the
+lexicographically least optimum in one pass, the orbits dropped from the
+spine included (see ``max_cross_free``). The search is complete, so the
 result is always proven optimal.
 
 Bound-comparison conventions, used everywhere: counts over the all-subsets
@@ -32,6 +45,7 @@ from . import kernel
 from .constructions import gen_cyclic_intervals
 from .crossing import crossing_graph, find_pairwise_crossing_witness
 from .families import Family, GroundSet, elements_of
+from .symmetry import set_orbits
 
 MAX_UNIVERSE = 4096
 
@@ -102,7 +116,9 @@ def max_cross_free(universe: Family, k: int, mode: str) -> SearchResult:
     without completing a k-clique. When v is included, a candidate outside
     N(v) keeps that property untested, and a neighbour u keeps it exactly
     when chosen ∩ N(v) ∩ N(u) holds no (k-2)-clique; for k=2 the empty
-    clique always exists, so every neighbour of v is dropped.
+    clique always exists, so every neighbour of v is dropped, and for k=3
+    any member is a 1-clique, so u stays exactly when that mask is empty.
+    Only k >= 4 with a nonempty mask calls ``kernel.find_k_clique_in``.
 
     A node with ``slack = best_size - |chosen|`` is pruned when the level
     bound or the greedy clique cover bound is at most ``slack``, which is
@@ -111,6 +127,28 @@ def max_cross_free(universe: Family, k: int, mode: str) -> SearchResult:
     prunes exactly the nodes the full sum would. Before the first incumbent
     ``slack`` is negative and no node is pruned, the empty-``cand`` leaf
     included.
+
+    Spine: the nodes with ``chosen == 0`` form the root exclude spine, and
+    the roots are the vertices it branches on, in increasing order. When a
+    spine node is popped, the previous root's include subtree is fully
+    explored; if it cost more than ``kernel._FIX_AFTER * len(sets)`` nodes
+    and the group is not known yet, ``set_orbits(universe)`` is fetched
+    and the orbit of every earlier root leaves that node's ``cand``. From
+    then on each spine exclude child drops ``orbit[v]``, not just v, so
+    every later spine ``cand`` is a union of orbits.
+
+    This keeps the optimum and the lex-least answer. Every vertex below a
+    root u left ``cand`` as a root below u or in the orbit of one. Let S
+    be an optimum that meets a dropped orbit, u the least root whose orbit
+    S meets and g an automorphism mapping a member of S to u. g preserves
+    the crossing graph and every orbit, so g(S) is an optimum that holds u
+    and avoids the orbit of every root below u: it lies in u's include
+    subtree, which was searched before u's orbit was dropped. If S does
+    not hold u, its members are all above u, so g(S) is lexicographically
+    smaller. The lex-least optimum therefore meets no dropped orbit or
+    holds that root u as its least member; either way it lies in the
+    include subtree of its least member, a root, and is found first there,
+    as without the group.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -137,10 +175,21 @@ def max_cross_free(universe: Family, k: int, mode: str) -> SearchResult:
     best_size = -1
     best_mask = 0
     nodes = 0
-    stack = [(0, (1 << len(sets)) - 1)]
+    full = (1 << len(sets)) - 1
+    fix_after = kernel._FIX_AFTER * len(sets)
+    orbit = None
+    spine_at = 0  # nodes when the last spine node was popped
+    stack = [(0, full)]
     while stack:
         chosen, cand = stack.pop()
         nodes += 1
+        if not chosen:
+            if orbit is None and nodes - spine_at - 1 > fix_after:
+                orbit = set_orbits(universe)
+                # Until now the spine has dropped its roots alone.
+                for u in elements_of(full & ~cand):
+                    cand &= ~orbit[u]
+            spine_at = nodes
         count = chosen.bit_count()
         slack = best_size - count
         if level_bound(chosen, cand) <= slack or not _cover_exceeds(adj, cand, k, slack):
@@ -151,14 +200,18 @@ def max_cross_free(universe: Family, k: int, mode: str) -> SearchResult:
         low = cand & -cand
         v = low.bit_length() - 1
         rest = cand ^ low
-        near = chosen & adj[v]
         kept = rest & ~adj[v]
-        m = rest & adj[v]
-        while m:
-            bit = m & -m
-            m ^= bit
-            if kernel.find_k_clique_in(adj, near & adj[bit.bit_length() - 1], k - 2) is None:
-                kept |= bit
+        if k > 2:
+            near = chosen & adj[v]
+            m = rest & adj[v]
+            while m:
+                bit = m & -m
+                m ^= bit
+                clash = near & adj[bit.bit_length() - 1]
+                if not clash or k > 3 and kernel.find_k_clique_in(adj, clash, k - 2) is None:
+                    kept |= bit
+        if not chosen and orbit is not None:
+            rest &= ~orbit[v]
         # Pushed last, the include child is explored first.
         stack.append((chosen, rest))
         stack.append((chosen | low, kept))

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from crossfree import crossing, symmetry
 from crossfree.cli import build_parser, main
 from crossfree.constructions import gen_cyclic_intervals
-from crossfree.families import Family, elements_of, serialize_family
+from crossfree.families import Family, GroundSet, elements_of, serialize_family
 
 FIXTURES = Path(__file__).parent / "fixtures" / "crosstree"
 GOLDEN = Path(__file__).parent / "golden"
@@ -389,6 +389,27 @@ def test_search_and_table(capsys, tmp_path):
     code, out, _ = run(capsys, "table", "--n", "3..4", "--k", "2", "--universe", "all", "--mode", "weak", "--format", "csv")
     assert code == 0
     assert out.splitlines()[1] == "3,2,all,weak,6,6,laminar 2n,yes"
+
+
+@pytest.mark.parametrize("universe, k, mode, golden", [
+    ("intervals", 3, "strict", "search_intervals_n8_k3_strict.json"),
+    ("all", 4, "weak", "search_all_n5_k4_weak.json"),
+])
+def test_search_matches_golden(capsys, tmp_path, universe, k, mode, golden):
+    """The optimum family itself, not only its size, for intervals n=8 and 2^[5]."""
+    fam = gen_cyclic_intervals(8, False) if universe == "intervals" else Family(GroundSet(5), tuple(range(32)))
+    path = write_family(tmp_path, serialize_family(fam))
+    code, out, err = run(capsys, "search", "--k", str(k), "--mode", mode, "--format", "json", path)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text()
+
+
+def test_duplicate_set_warning_is_one_line(capsys, tmp_path):
+    fam = write_family(tmp_path, "n 3\n0,1\n0,1\n1,2\n")
+    code, out, err = run(capsys, "search", "--k", "2", fam)
+    assert code == 0
+    assert out == "maximum 2-cross-free subfamily size: 2 (strict mode)\n  0,1\n  1,2\n"
+    assert err == "warning: duplicate set '0,1' at line 3 merged\n"
 
 
 def test_search_universe_deeper_than_recursion_limit(capsys, tmp_path):

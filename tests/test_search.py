@@ -1,14 +1,15 @@
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossfree import kernel
+from crossfree import kernel, search
 from crossfree.constructions import gen_cyclic_intervals
 from crossfree.crossing import crossing_graph, find_pairwise_crossing_witness
-from crossfree.families import Family, GroundSet, crosses
+from crossfree.families import Family, GroundSet, crosses, elements_of
 from crossfree.search import (
     SearchInfeasibleError,
     _level_caps,
@@ -18,6 +19,7 @@ from crossfree.search import (
     format_table_text,
     max_cross_free,
 )
+from crossfree.symmetry import set_orbits
 
 
 def all_subsets(n):
@@ -77,14 +79,15 @@ def test_lexicographically_least_optimum():
     assert all(m in result.best for m in non_pairs)
 
 
-def lex_least_optimum(fam, k, mode):
-    """First witness-free subfamily in combinations order, largest size first."""
+def lex_least_optimum(fam, k, mode, top=None):
+    """First witness-free subfamily in combinations order, largest size
+    first, starting at size top (default: every set)."""
     sets = fam.sets
     crossing = {
         pair for pair in combinations(range(len(sets)), 2)
         if crosses(sets[pair[0]], sets[pair[1]], fam.ground, mode)
     }
-    for size in range(len(sets), -1, -1):
+    for size in range(len(sets) if top is None else top, -1, -1):
         for combo in combinations(range(len(sets)), size):
             if not any(
                 all(pair in crossing for pair in combinations(group, 2))
@@ -174,29 +177,108 @@ def reference_search(universe, k, mode):
 def test_search_matches_reference_search(case):
     fam, k, mode = case
     result = max_cross_free(fam, k, mode)
-    assert (result.best.sets, result.size, result.nodes_explored) == reference_search(fam, k, mode)
+    best, size, nodes = reference_search(fam, k, mode)
+    assert (result.best.sets, result.size) == (best, size)
+    # The reference has no orbital branching, so it explores the same
+    # nodes exactly when the group has no nontrivial orbit.
+    if set_orbits(fam) == [1 << v for v in range(len(fam))]:
+        assert result.nodes_explored == nodes
+    else:
+        assert result.nodes_explored <= nodes
+
+
+@st.composite
+def symmetric_universes(draw, max_n=6, max_sets=16):
+    """A union of orbits of a ground-set permutation group, a k of 2-4 and a mode.
+
+    The group is generated by an n-cycle (cyclic), an n-cycle and a
+    reflection (dihedral), an n-cycle and a transposition (symmetric) or a
+    transposition alone, all along a random ordering of the ground set.
+    Each seed set adds its whole orbit, unless that would exceed max_sets.
+    """
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    order = draw(st.permutations(range(n)))
+    cycle = {order[i]: order[(i + 1) % n] for i in range(n)}
+    reflect = {order[i]: order[-1 - i] for i in range(n)}
+    swap = {e: e for e in range(n)} | {order[0]: order[1], order[1]: order[0]}
+    gens = draw(st.sampled_from(([cycle], [cycle, reflect], [cycle, swap], [swap])))
+    sets = set()
+    for seed in draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=max_sets)):
+        orbit, todo = {seed}, [seed]
+        while todo:
+            m = todo.pop()
+            for g in gens:
+                image = sum(1 << g[e] for e in elements_of(m))
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        if len(sets | orbit) <= max_sets:
+            sets |= orbit
+    k = draw(st.sampled_from((2, 3, 4)))
+    return Family(GroundSet(n), tuple(sets)), k, draw(st.sampled_from(["strict", "weak"]))
+
+
+def test_orbital_branching_matches_oracles(monkeypatch):
+    # _FIX_AFTER = 0 fetches the group after the first root's subtree, so
+    # every search that reaches a second spine node takes the orbit path.
+    calls = {"examples": 0, "orbits": 0}
+
+    def record(fam):
+        orbits = set_orbits(fam)
+        calls["orbits"] += orbits != [1 << v for v in range(len(fam))]
+        return orbits
+
+    @settings(deadline=None, max_examples=300)
+    @given(symmetric_universes())
+    def check(case):
+        fam, k, mode = case
+        result = max_cross_free(fam, k, mode)
+        size = brute_force_max(fam, k, mode)
+        assert result.size == size
+        # Above the optimum size every subfamily has a witness, so the
+        # oracle may start at that size.
+        assert result.best.sets == lex_least_optimum(fam, k, mode, size)
+        calls["examples"] += 1
+
+    monkeypatch.setattr(kernel, "_FIX_AFTER", 0)
+    monkeypatch.setattr(search, "set_orbits", record)
+    check()
+    # Most examples drop a nontrivial orbit from the spine.
+    assert calls["orbits"] >= calls["examples"] // 2, calls
 
 
 TABLE_CASES = [
-    ("intervals", 2, "strict", 6403),
-    ("intervals", 3, "strict", 11383),
+    ("intervals", 2, "strict", 4499),
+    ("intervals", 3, "strict", 9429),
     ("intervals", 4, "strict", 109),
     ("all", 2, "strict", 109),
     ("all", 3, "strict", 241),
-    ("all", 4, "strict", 1667),
+    ("all", 4, "strict", 1637),
     ("all", 3, "weak", 343),
-    ("all", 4, "weak", 1347),
+    ("all", 4, "weak", 1313),
 ]
 
 
-def test_table_cases_node_counts():
-    """The eight ``table`` cases (intervals n=8, all subsets n=5) keep their B&B nodes."""
+def test_table_cases_node_counts(monkeypatch):
+    """The eight ``table`` cases (intervals n=8, all subsets n=5) keep their
+    B&B nodes, fetch the group once each and ask the kernel only k >= 2."""
+    fetched = []
+
+    def record(fam):
+        fetched.append(len(fam))
+        return set_orbits(fam)
+
+    monkeypatch.setattr(search, "set_orbits", record)
     nodes = []
-    for universe, k, mode, want in TABLE_CASES:
-        fam = gen_cyclic_intervals(8, False) if universe == "intervals" else all_subsets(5)
-        nodes.append(max_cross_free(fam, k, mode).nodes_explored)
+    with mock.patch.object(kernel, "find_k_clique_in", side_effect=kernel.find_k_clique_in) as calls:
+        for universe, k, mode, want in TABLE_CASES:
+            fam = gen_cyclic_intervals(8, False) if universe == "intervals" else all_subsets(5)
+            nodes.append(max_cross_free(fam, k, mode).nodes_explored)
     assert nodes == [want for *_, want in TABLE_CASES]
-    assert sum(nodes) == 21602
+    assert sum(nodes) == 17680
+    assert fetched == [56] * 3 + [32] * 5
+    assert calls.call_count == 8708
+    assert min(call.args[2] for call in calls.call_args_list) >= 2
 
 
 def test_monotone_in_k():
