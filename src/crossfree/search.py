@@ -16,11 +16,7 @@ The spine of the search tree, the nodes with nothing chosen, takes one
 root after another, and the family's symmetry group lets it drop each
 explored root's whole orbit (orbital branching: Ostrowski, Linderoth,
 Rossi & Smriglio, "Orbital branching", Math. Program. 126, 2011). The
-group costs a search of its own (``symmetry.set_orbits``), so it is
-fetched at most once, on the rule of the clique kernel's orbital fixing:
-when a spine node is popped after the previous root's include subtree cost
-more than ``kernel._FIX_AFTER`` nodes per set. Small and easy searches
-never pay for it.
+group (``symmetry.set_orbits``) is fetched once, at entry.
 
 A node is pruned unless its upper bound strictly beats the incumbent. The
 cover bound is asked as a threshold test that stops summing once the answer
@@ -129,13 +125,11 @@ def max_cross_free(universe: Family, k: int, mode: str) -> SearchResult:
     included.
 
     Spine: the nodes with ``chosen == 0`` form the root exclude spine, and
-    the roots are the vertices it branches on, in increasing order. When a
-    spine node is popped, the previous root's include subtree is fully
-    explored; if it cost more than ``kernel._FIX_AFTER * len(sets)`` nodes
-    and the group is not known yet, ``set_orbits(universe)`` is fetched
-    and the orbit of every earlier root leaves that node's ``cand``. From
-    then on each spine exclude child drops ``orbit[v]``, not just v, so
-    every later spine ``cand`` is a union of orbits.
+    the roots are the vertices it branches on, in increasing order.
+    ``set_orbits(universe)`` is fetched once at entry, and each spine
+    exclude child drops ``orbit[v]``, not just v, so every spine ``cand``
+    is a union of orbits. When that child is popped, v's include subtree
+    is fully explored.
 
     This keeps the optimum and the lex-least answer. Every vertex below a
     root u left ``cand`` as a root below u or in the orbit of one. Let S
@@ -175,21 +169,11 @@ def max_cross_free(universe: Family, k: int, mode: str) -> SearchResult:
     best_size = -1
     best_mask = 0
     nodes = 0
-    full = (1 << len(sets)) - 1
-    fix_after = kernel._FIX_AFTER * len(sets)
-    orbit = None
-    spine_at = 0  # nodes when the last spine node was popped
-    stack = [(0, full)]
+    orbit = set_orbits(universe)
+    stack = [(0, (1 << len(sets)) - 1)]
     while stack:
         chosen, cand = stack.pop()
         nodes += 1
-        if not chosen:
-            if orbit is None and nodes - spine_at - 1 > fix_after:
-                orbit = set_orbits(universe)
-                # Until now the spine has dropped its roots alone.
-                for u in elements_of(full & ~cand):
-                    cand &= ~orbit[u]
-            spine_at = nodes
         count = chosen.bit_count()
         slack = best_size - count
         if level_bound(chosen, cand) <= slack or not _cover_exceeds(adj, cand, k, slack):
@@ -210,7 +194,7 @@ def max_cross_free(universe: Family, k: int, mode: str) -> SearchResult:
                 clash = near & adj[bit.bit_length() - 1]
                 if not clash or k > 3 and kernel.find_k_clique_in(adj, clash, k - 2) is None:
                     kept |= bit
-        if not chosen and orbit is not None:
+        if not chosen:
             rest &= ~orbit[v]
         # Pushed last, the include child is explored first.
         stack.append((chosen, rest))

@@ -219,8 +219,6 @@ def symmetric_universes(draw, max_n=6, max_sets=16):
 
 
 def test_orbital_branching_matches_oracles(monkeypatch):
-    # _FIX_AFTER = 0 fetches the group after the first root's subtree, so
-    # every search that reaches a second spine node takes the orbit path.
     calls = {"examples": 0, "orbits": 0}
 
     def record(fam):
@@ -240,7 +238,6 @@ def test_orbital_branching_matches_oracles(monkeypatch):
         assert result.best.sets == lex_least_optimum(fam, k, mode, size)
         calls["examples"] += 1
 
-    monkeypatch.setattr(kernel, "_FIX_AFTER", 0)
     monkeypatch.setattr(search, "set_orbits", record)
     check()
     # Most examples drop a nontrivial orbit from the spine.
