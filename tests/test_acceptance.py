@@ -300,6 +300,7 @@ def test_acceptance_12_cli_determinism_and_goldens(capsys):
         (["table", "--n", "3..5", "--k", "2", "--universe", "all", "--mode", "strict", "--format", "csv"], "table_all_strict_k2.csv"),
         (["table", "--n", "4..6", "--k", "2", "--universe", "intervals", "--mode", "strict", "--format", "csv"], "table_intervals_strict_k2.csv"),
         (["table", "--n", "6", "--k", "3", "--universe", "intervals", "--mode", "strict", "--format", "csv"], "table_intervals_strict_k3_n6.csv"),
+        (["table", "--n", "3..7", "--k", "3..5", "--universe", "intervals", "--mode", "weak", "--format", "csv"], "table_intervals_weak_k3_5.csv"),
         (["tree", "validate", *fixture_args], "tree_validate.txt"),
     ]
     ok = True

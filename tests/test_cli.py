@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossfree import crossing, symmetry
+from crossfree import crossing, search, symmetry
 from crossfree.cli import build_parser, main
 from crossfree.constructions import gen_cyclic_intervals
 from crossfree.families import Family, GroundSet, elements_of, serialize_family
@@ -394,6 +394,8 @@ def test_search_and_table(capsys, tmp_path):
 @pytest.mark.parametrize("universe, k, mode, golden", [
     ("intervals", 3, "strict", "search_intervals_n8_k3_strict.json"),
     ("all", 4, "weak", "search_all_n5_k4_weak.json"),
+    ("intervals", 4, "strict", "search_intervals_n8_k4_strict.json"),
+    ("all", 5, "weak", "search_all_n5_k5_weak.json"),
 ])
 def test_search_matches_golden(capsys, tmp_path, universe, k, mode, golden):
     """The optimum family itself, not only its size, for intervals n=8 and 2^[5]."""
@@ -412,7 +414,14 @@ def test_duplicate_set_warning_is_one_line(capsys, tmp_path):
     assert err == "warning: duplicate set '0,1' at line 3 merged\n"
 
 
-def test_search_universe_deeper_than_recursion_limit(capsys, tmp_path):
+def test_search_universe_deeper_than_recursion_limit(capsys, tmp_path, monkeypatch):
+    # The search never runs the group search, which costs seconds here.
+    def no_group(fam):
+        raise AssertionError("search fetched the symmetry group")
+
+    monkeypatch.setattr(symmetry, "set_orbits", no_group)
+    monkeypatch.setattr(crossing, "set_orbits", no_group)
+    monkeypatch.setattr(search, "set_orbits", no_group, raising=False)
     pairs = islice(combinations(range(64), 2), 1100)
     fam = write_family(tmp_path, "n 64\n" + "".join(f"{a},{b}\n" for a, b in pairs))
     code, out, _ = run(capsys, "search", "--k", "200", fam)

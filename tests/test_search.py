@@ -6,20 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossfree import kernel, search
+from crossfree import kernel, search, symmetry
 from crossfree.constructions import gen_cyclic_intervals
 from crossfree.crossing import crossing_graph, find_pairwise_crossing_witness
 from crossfree.families import Family, GroundSet, crosses, elements_of
 from crossfree.search import (
     SearchInfeasibleError,
-    _level_caps,
+    _formula_for,
     bound_table,
     brute_force_max,
     format_table_csv,
     format_table_text,
     max_cross_free,
 )
-from crossfree.symmetry import set_orbits
 
 
 def all_subsets(n):
@@ -117,11 +116,15 @@ def reference_search(universe, k, mode):
 
     Every candidate is re-checked for a (k-1)-clique of the chosen sets in
     its neighbourhood, and a node is pruned when
-    ``|chosen| + min(cover, level) <= best``; returns (best, size, nodes).
+    ``|chosen| + min(cover, level) <= best``; returns (best, size).
     """
     adj = crossing_graph(universe, mode).adj
     sets = universe.sets
-    caps = _level_caps(universe, k, mode)
+    # Two distinct size-l sets sharing an element weakly-cross, and cross
+    # strictly when l < n/2, so each element lies in at most k-1 of them;
+    # summing over elements caps the level at (k-1)n/l.
+    n = universe.ground.n
+    caps = {lvl: (k - 1) * n // lvl for lvl in range(1, n) if mode == "weak" or 2 * lvl < n}
 
     def cover_bound(cand):
         total = 0
@@ -148,11 +151,10 @@ def reference_search(universe, k, mode):
             total += min((cand & mask).bit_count(), max(0, room))
         return total
 
-    best_size, best_mask, nodes = -1, 0, 0
+    best_size, best_mask = -1, 0
     stack = [(0, (1 << len(sets)) - 1)]
     while stack:
         chosen, cand = stack.pop()
-        nodes += 1
         count = chosen.bit_count()
         if count + min(cover_bound(cand), level_bound(chosen, cand)) <= best_size:
             continue
@@ -169,7 +171,7 @@ def reference_search(universe, k, mode):
         stack.append((chosen, rest))
         stack.append((included, kept))
     best = tuple(sets[v] for v in range(len(sets)) if best_mask >> v & 1)
-    return best, best_size, nodes
+    return best, best_size
 
 
 @settings(deadline=None, max_examples=300)
@@ -177,14 +179,7 @@ def reference_search(universe, k, mode):
 def test_search_matches_reference_search(case):
     fam, k, mode = case
     result = max_cross_free(fam, k, mode)
-    best, size, nodes = reference_search(fam, k, mode)
-    assert (result.best.sets, result.size) == (best, size)
-    # The reference has no orbital branching, so it explores the same
-    # nodes exactly when the group has no nontrivial orbit.
-    if set_orbits(fam) == [1 << v for v in range(len(fam))]:
-        assert result.nodes_explored == nodes
-    else:
-        assert result.nodes_explored <= nodes
+    assert (result.best.sets, result.size) == reference_search(fam, k, mode)
 
 
 @st.composite
@@ -218,64 +213,56 @@ def symmetric_universes(draw, max_n=6, max_sets=16):
     return Family(GroundSet(n), tuple(sets)), k, draw(st.sampled_from(["strict", "weak"]))
 
 
-def test_orbital_branching_matches_oracles(monkeypatch):
-    calls = {"examples": 0, "orbits": 0}
-
-    def record(fam):
-        orbits = set_orbits(fam)
-        calls["orbits"] += orbits != [1 << v for v in range(len(fam))]
-        return orbits
-
-    @settings(deadline=None, max_examples=300)
-    @given(symmetric_universes())
-    def check(case):
-        fam, k, mode = case
-        result = max_cross_free(fam, k, mode)
-        size = brute_force_max(fam, k, mode)
-        assert result.size == size
-        # Above the optimum size every subfamily has a witness, so the
-        # oracle may start at that size.
-        assert result.best.sets == lex_least_optimum(fam, k, mode, size)
-        calls["examples"] += 1
-
-    monkeypatch.setattr(search, "set_orbits", record)
-    check()
-    # Most examples drop a nontrivial orbit from the spine.
-    assert calls["orbits"] >= calls["examples"] // 2, calls
+@settings(deadline=None, max_examples=300)
+@given(symmetric_universes())
+def test_symmetric_universes_match_oracles(case):
+    fam, k, mode = case
+    result = max_cross_free(fam, k, mode)
+    size = brute_force_max(fam, k, mode)
+    assert result.size == size
+    # Above the optimum size every subfamily has a witness, so the
+    # oracle may start at that size.
+    assert result.best.sets == lex_least_optimum(fam, k, mode, size)
 
 
 TABLE_CASES = [
-    ("intervals", 2, "strict", 4499),
-    ("intervals", 3, "strict", 9429),
-    ("intervals", 4, "strict", 109),
-    ("all", 2, "strict", 109),
-    ("all", 3, "strict", 241),
-    ("all", 4, "strict", 1637),
-    ("all", 3, "weak", 343),
-    ("all", 4, "weak", 1313),
+    ("intervals", 2, "strict", 786),
+    ("intervals", 3, "strict", 1106),
+    ("intervals", 4, "strict", 1172),
+    ("all", 2, "strict", 147),
+    ("all", 3, "strict", 328),
+    ("all", 4, "strict", 492),
+    ("all", 3, "weak", 529),
+    ("all", 4, "weak", 2993),
 ]
 
 
 def test_table_cases_node_counts(monkeypatch):
     """The eight ``table`` cases (intervals n=8, all subsets n=5) keep their
-    B&B nodes, fetch the group once each and ask the kernel only k >= 2."""
-    fetched = []
+    doll and lex nodes, never fetch the group and ask the kernel only k >= 2."""
 
-    def record(fam):
-        fetched.append(len(fam))
-        return set_orbits(fam)
+    def no_group(fam):
+        raise AssertionError("search fetched the symmetry group")
 
-    monkeypatch.setattr(search, "set_orbits", record)
+    monkeypatch.setattr(symmetry, "set_orbits", no_group)
+    monkeypatch.setattr(search, "set_orbits", no_group, raising=False)
     nodes = []
     with mock.patch.object(kernel, "find_k_clique_in", side_effect=kernel.find_k_clique_in) as calls:
         for universe, k, mode, want in TABLE_CASES:
             fam = gen_cyclic_intervals(8, False) if universe == "intervals" else all_subsets(5)
             nodes.append(max_cross_free(fam, k, mode).nodes_explored)
     assert nodes == [want for *_, want in TABLE_CASES]
-    assert sum(nodes) == 17680
-    assert fetched == [56] * 3 + [32] * 5
-    assert calls.call_count == 8708
+    assert sum(nodes) == 7553
+    assert calls.call_count == 10015
     assert min(call.args[2] for call in calls.call_args_list) >= 2
+
+
+@pytest.mark.parametrize("n, want", [(9, 52), (10, 60)])
+def test_interval_bound_is_tight_beyond_table_caps(n, want):
+    """Strict intervals at k=3 meet the interval bound past ``table``'s n <= 8."""
+    result = max_cross_free(gen_cyclic_intervals(n, False), 3, "strict")
+    assert result.size == _formula_for("intervals", "strict", 3, n)[0] == want
+    assert find_pairwise_crossing_witness(result.best, 3, "strict") is None
 
 
 def test_monotone_in_k():
