@@ -2,7 +2,8 @@
 randomized conditioned selection, and the C1-C4 condition checker.
 
 A continuous chain is stored as a base set plus the ordered elements added
-one at a time; ``member_below(x)`` is the largest member not containing x.
+one at a time; ``below[x]`` is the largest member not containing x, for x
+in the chain's support.
 """
 
 from __future__ import annotations
@@ -118,8 +119,9 @@ def successor_graph(fam: Family) -> SuccessorGraph:
 class Chain:
     """Continuous chain base < base+{x1} < ... < base+{x1..xh}.
 
-    ``members`` (base first) and ``support_mask`` (the added elements) are
-    computed once, on construction.
+    ``members`` (base first), ``support_mask`` (the added elements) and
+    ``below`` (each added element to the largest member not containing it)
+    are computed once, on construction.
     """
 
     base: int
@@ -135,6 +137,7 @@ class Chain:
             members.append(m)
         object.__setattr__(self, "members", tuple(members))
         object.__setattr__(self, "support_mask", m & ~self.base)
+        object.__setattr__(self, "below", dict(zip(self.added, members)))
 
     @property
     def h(self) -> int:
@@ -143,12 +146,6 @@ class Chain:
     @property
     def top(self) -> int:
         return self.members[-1]
-
-    def member_below(self, x: int) -> int:
-        """Largest member not containing x, defined for x in the support."""
-        if not self.support_mask >> x & 1:
-            raise KeyError(f"element {x} not in chain support")
-        return self.members[self.added.index(x)]
 
     def size_range(self) -> tuple[int, int]:
         lo = self.base.bit_count()
@@ -173,6 +170,15 @@ class ChainCollection:
 
     def __len__(self):
         return len(self.chains)
+
+    def distinct_indices(self, indices) -> tuple[int, ...]:
+        """``indices`` without repeats, in first-seen order, each checked
+        to name a chain."""
+        indices = tuple(dict.fromkeys(indices))
+        for i in indices:
+            if not 0 <= i < len(self.chains):
+                raise ValueError(f"chain index {i} out of range for {len(self.chains)} chains")
+        return indices
 
     def uniform_h(self) -> int:
         hs = {c.h for c in self.chains}
@@ -306,7 +312,7 @@ def select_conditioned_chains(
     chosen_chain: dict[int, frozenset[int]] = {}
     for x in range(n):
         tops = sorted(
-            {c.member_below(x) | 1 << x for c in cc.chains if c.support_mask >> x & 1}
+            {c.below[x] | 1 << x for c in cc.chains if c.support_mask >> x & 1}
         )
         if not tops:
             continue
@@ -317,7 +323,7 @@ def select_conditioned_chains(
         i
         for i in all_idx
         if all(
-            cc.chains[i].member_below(x) | 1 << x in chosen_chain[x]
+            cc.chains[i].below[x] | 1 << x in chosen_chain[x]
             for x in cc.chains[i].added
         )
     )
@@ -353,26 +359,20 @@ def select_conditioned_chains(
 
 
 @dataclass(frozen=True)
-class ConditionReport:
-    passed: bool
-    violations: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class ConditionsReport:
-    c1: ConditionReport
-    c2: ConditionReport
-    c3: ConditionReport
-    c4: ConditionReport
+    """Per-condition violation lists, keyed C1-C4; a condition passes when
+    its list is empty."""
+
+    violations: dict[str, tuple[str, ...]]
 
     @property
     def all_pass(self) -> bool:
-        return all(r.passed for r in (self.c1, self.c2, self.c3, self.c4))
+        return not any(self.violations.values())
 
     def as_dict(self):
         return {
-            name: {"passed": r.passed, "violations": list(r.violations)}
-            for name, r in (("C1", self.c1), ("C2", self.c2), ("C3", self.c3), ("C4", self.c4))
+            name: {"passed": not v, "violations": list(v)}
+            for name, v in self.violations.items()
         }
 
 
@@ -388,10 +388,7 @@ def check_conditions(
     A repeated index counts once, as in ``build_tree``.
     """
     _check_c4_parameters(k, min_size_multiplier)
-    selected = tuple(dict.fromkeys(selected))
-    for i in selected:
-        if not 0 <= i < len(cc):
-            raise ValueError(f"selected index {i} out of range")
+    selected = cc.distinct_indices(selected)
     h = cc.uniform_h()
 
     v1, v2, v3, v4 = [], [], [], []
@@ -401,7 +398,7 @@ def check_conditions(
             cj = cc.chains[j]
             common = ci.support_mask & cj.support_mask
             for x in elements_of(common):
-                bi, bj = ci.member_below(x), cj.member_below(x)
+                bi, bj = ci.below[x], cj.below[x]
                 if bi & ~bj and bj & ~bi:
                     v1.append(f"chains {i},{j}: incomparable members below element {x}")
             if _c3_conflict(ci, cj):
@@ -415,10 +412,7 @@ def check_conditions(
                 f" < {min_size_multiplier * k * h}"
             )
     return ConditionsReport(
-        ConditionReport(not v1, tuple(v1)),
-        ConditionReport(not v2, tuple(v2)),
-        ConditionReport(not v3, tuple(v3)),
-        ConditionReport(not v4, tuple(v4)),
+        {"C1": tuple(v1), "C2": tuple(v2), "C3": tuple(v3), "C4": tuple(v4)}
     )
 
 

@@ -246,15 +246,6 @@ class UniformBoundReport:
     size: int
     violates: bool
 
-    def as_dict(self):
-        return {
-            "is_uniform": self.is_uniform,
-            "level": self.level,
-            "bound": None if self.bound is None else [self.bound.numerator, self.bound.denominator],
-            "size": self.size,
-            "violates": self.violates,
-        }
-
 
 def uniform_bound_report(fam: Family, k: int) -> UniformBoundReport:
     """Size-vs-(k-1)n/l report for an l-uniform family.

@@ -40,7 +40,6 @@ class SearchInfeasibleError(ValueError):
 class SearchResult:
     best: Family
     size: int
-    proven_optimal: bool
     nodes_explored: int
 
 
@@ -140,7 +139,7 @@ def max_cross_free(universe: Family, k: int, mode: str) -> SearchResult:
     best = Family(universe.ground, tuple(sets[v] for v in elements_of(best_mask)))
     assert len(best) == c[0]
     assert find_pairwise_crossing_witness(best, k, mode) is None if c[0] >= k else True
-    return SearchResult(best, c[0], True, nodes)
+    return SearchResult(best, c[0], nodes)
 
 
 def brute_force_max(universe: Family, k: int, mode: str) -> int:

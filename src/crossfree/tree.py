@@ -93,15 +93,6 @@ class TreeReport:
         }
 
 
-def _below(cc: ChainCollection, node: TreeNode, x: int) -> int | None:
-    """Member of node's chain below x; None unless 0 <= x < n and x is in
-    the chain's support."""
-    chain = cc.chains[node.chain]
-    if not (0 <= x < cc.ground.n and chain.support_mask >> x & 1):
-        return None
-    return chain.member_below(x)
-
-
 def validate_tree(tree: CrossSupportTree, cc: ChainCollection, ordering: Ordering) -> TreeReport:
     """Literal check of T1-T5 plus derived T6-T8 as advisory results.
 
@@ -136,7 +127,11 @@ def validate_tree(tree: CrossSupportTree, cc: ChainCollection, ordering: Orderin
             {k: () for k in advisory},
         )
 
-    s_vals = {path: _below(cc, node, node.edge_label) if path else None for path, node in infos}
+    # None for a label outside the chain's support, such as one < 0 or >= n.
+    s_vals = {
+        path: cc.chains[node.chain].below.get(node.edge_label) if path else None
+        for path, node in infos
+    }
 
     # T1-T4 in one preorder pass. T1: labels are ground elements. T2:
     # incident labels lie in the node's support and child labels strictly
@@ -152,7 +147,7 @@ def validate_tree(tree: CrossSupportTree, cc: ChainCollection, ordering: Orderin
             violations["T2"].append(f"node {path}: parent edge label {x} not in chain support")
         labels = [c.edge_label for c in node.children]
         for idx, lab in enumerate(labels):
-            below_v = _below(cc, node, lab)
+            below_v = cc.chains[node.chain].below.get(lab)
             if below_v is None:
                 if 0 <= lab < n:
                     violations["T2"].append(
@@ -297,7 +292,7 @@ def extract_k_crossing_from_tree(
         if chosen is None:
             raise ExtractionError("no admissible child on greedy path")
         used_labels.add(chosen.edge_label)
-        s_val = cc.chains[chosen.chain].member_below(chosen.edge_label)
+        s_val = cc.chains[chosen.chain].below[chosen.edge_label]
         sets.append(s_val | 1 << chosen.edge_label)
         sizes.append(sets[-1].bit_count())
         node = chosen
@@ -316,7 +311,6 @@ def build_tree(
     cc: ChainCollection,
     selected,
     ordering: Ordering,
-    k: int,
     height: int,
     branching: int,
 ) -> BuildResult:
@@ -333,10 +327,7 @@ def build_tree(
     inputs.
     """
     # A repeated root would fill more than one of the h slots of tops[x].
-    selected = tuple(dict.fromkeys(selected))
-    for i in selected:
-        if not 0 <= i < len(cc):
-            raise ValueError(f"chain index {i} out of range for {len(cc)} chains")
+    selected = cc.distinct_indices(selected)
     if height < 0:
         raise ValueError(f"height must be >= 0, got {height}")
     if branching < 1:
@@ -365,10 +356,11 @@ def build_tree(
         for i in survivors:
             for x in z_sets[i]:
                 pools.setdefault(x, []).append(i)
+        # Chains share no member, so the members below x are distinct and
+        # rank the pool without ties.
         tops: dict[int, tuple[int, ...]] = {}
         for x, pool in pools.items():
-            ranked = sorted(pool, key=lambda i: (canonical_key(cc.chains[i].member_below(x)), i))
-            tops[x] = tuple(ranked[-h:])
+            tops[x] = tuple(sorted(pool, key=lambda i: canonical_key(cc.chains[i].below[x]))[-h:])
 
         new_trees: dict[int, CrossSupportTree] = {}
         for i in survivors:
@@ -398,22 +390,18 @@ def _assemble_root(cc, ordering, trees, i, z_i, tops, branching):
     longest chain.
     """
     # Distinct representatives: process labels left to right (reverse
-    # ordering) and take the candidate with the largest member below x.
+    # ordering) and take the candidate with the largest member below x,
+    # the last eligible entry of tops[x]. i itself is in no tops[x] for x
+    # in z_i, or it would have been excluded.
+    below_i = cc.chains[i].below
     taken: set[int] = set()
     rep: dict[int, int] = {}
     for x in sorted(z_i, key=ordering.position, reverse=True):
-        candidates = [
-            j
-            for j in tops.get(x, ())
-            if j != i
-            and j not in taken
-            and _strict_subset(cc.chains[i].member_below(x), cc.chains[j].member_below(x))
-        ]
-        if not candidates:
-            continue
-        best = max(candidates, key=lambda j: (canonical_key(cc.chains[j].member_below(x)), -j))
-        rep[x] = best
-        taken.add(best)
+        for j in reversed(tops[x]):
+            if j not in taken and _strict_subset(below_i[x], cc.chains[j].below[x]):
+                rep[x] = j
+                taken.add(j)
+                break
     if len(rep) < branching:
         return f"only {len(rep)} matched subtrees < branching {branching}"
 
@@ -445,7 +433,7 @@ def _assemble_root(cc, ordering, trees, i, z_i, tops, branching):
             node = subtrees[x]
             for _ in range(d):
                 node = node.children[0]
-            s_of[x] = cc.chains[node.chain].member_below(x)
+            s_of[x] = cc.chains[node.chain].below[x]
         members = _longest_chain(s_of.values())
         kept = [x for x in kept if s_of[x] in members]
     if len(kept) < branching:

@@ -287,6 +287,13 @@ def test_tree_build_matches_golden(capsys, tmp_path):
     assert err == (GOLDEN / "tree_build_nested20.err").read_text()
 
 
+@pytest.mark.parametrize("count, branching", [(16, "2"), (20, "3")])
+def test_tree_build_ignores_k(capsys, tmp_path, count, branching):
+    # nested16 builds a tree; nested20 fails and reports every root.
+    args = ["tree", "build", *nested_chain_files(tmp_path, 6, count), "--height", "2", "--branching", branching]
+    assert run(capsys, *args, "--k", "2") == run(capsys, *args, "--k", "9")
+
+
 def test_gen_check_pipeline(capsys, tmp_path):
     code, out, _ = run(capsys, "gen", "laminar", "--n", "5")
     assert code == 0

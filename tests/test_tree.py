@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossfree import crossing
-from crossfree.chains import Chain, ChainCollection, Ordering, parse_chain_collection, parse_ordering
+from crossfree.chains import (
+    Chain,
+    ChainCollection,
+    Ordering,
+    check_conditions,
+    parse_chain_collection,
+    parse_ordering,
+)
 from crossfree.families import Family, GroundSet, canonical_key, classify_pair, mask_of
 from crossfree.tree import (
     _longest_chain,
@@ -196,10 +203,10 @@ def four_nested_chains():
 
 def test_build_tree_level0_and_level1():
     cc, ordering = four_nested_chains()
-    res0 = build_tree(cc, (0, 2), ordering, 2, 0, 1)
+    res0 = build_tree(cc, (0, 2), ordering, 0, 1)
     assert res0.tree is not None and res0.tree.root.is_leaf
 
-    res = build_tree(cc, (0, 1, 2, 3), ordering, 2, 1, 1)
+    res = build_tree(cc, (0, 1, 2, 3), ordering, 1, 1)
     assert res.tree is not None
     assert validate_tree(res.tree, cc, ordering).ok
     assert len(res.tree.root.children) >= 1
@@ -207,10 +214,31 @@ def test_build_tree_level0_and_level1():
 
 def test_build_tree_ignores_repeated_indices():
     cc, ordering = four_nested_chains()
-    once = build_tree(cc, (0, 1, 2, 3), ordering, 2, 1, 1)
-    twice = build_tree(cc, (0, 0, 1, 1, 2, 2, 3, 3), ordering, 2, 1, 1)
+    once = build_tree(cc, (0, 1, 2, 3), ordering, 1, 1)
+    twice = build_tree(cc, (0, 0, 1, 1, 2, 2, 3, 3), ordering, 1, 1)
     assert twice.per_root == once.per_root
     assert tree_to_json(twice.tree) == tree_to_json(once.tree)
+
+
+@pytest.mark.parametrize("selected", [(4,), (0, 4), (-1,), (1, 1, 9, 2)])
+def test_build_tree_and_check_conditions_reject_the_same_index(selected):
+    cc, ordering = four_nested_chains()
+    bad = next(i for i in selected if not 0 <= i < 4)
+    with pytest.raises(ValueError) as built:
+        build_tree(cc, selected, ordering, 1, 1)
+    with pytest.raises(ValueError) as checked:
+        check_conditions(cc, selected, ordering, 2, 0)
+    assert str(built.value) == str(checked.value) == f"chain index {bad} out of range for 4 chains"
+
+
+def test_build_tree_and_check_conditions_drop_the_same_repeats():
+    cc, ordering = four_nested_chains()
+    for repeated, once in (((3, 3, 0), (3, 0)), ((1, 0, 1, 0, 2), (1, 0, 2))):
+        assert cc.distinct_indices(repeated) == once
+        assert check_conditions(cc, repeated, ordering, 2, 0) == check_conditions(cc, once, ordering, 2, 0)
+        twice, single = build_tree(cc, repeated, ordering, 1, 1), build_tree(cc, once, ordering, 1, 1)
+        assert list(twice.per_root.items()) == list(single.per_root.items())
+        assert twice.tree == single.tree
 
 
 def incomparable_chains():
@@ -221,7 +249,7 @@ def incomparable_chains():
 
 def test_build_tree_fails_without_containments():
     cc, ordering = incomparable_chains()
-    res = build_tree(cc, tuple(range(4)), ordering, 2, 1, 1)
+    res = build_tree(cc, tuple(range(4)), ordering, 1, 1)
     assert res.tree is None
 
 
@@ -230,7 +258,7 @@ def test_build_tree_rejects_branching_below_one(branching):
     # In incomparable_chains no root matches a subtree.
     for cc, ordering in (four_nested_chains(), incomparable_chains()):
         with pytest.raises(ValueError, match="branching"):
-            build_tree(cc, tuple(range(4)), ordering, 2, 1, branching)
+            build_tree(cc, tuple(range(4)), ordering, 1, branching)
 
 
 def nested16():
@@ -247,7 +275,7 @@ def test_build_tree_runs_no_matching(monkeypatch):
         crossing, "_max_bipartite_matching", lambda *args: calls.append(args) or matching(*args)
     )
     cc, ordering = nested16()
-    res = build_tree(cc, tuple(range(16)), ordering, 2, 2, 2)
+    res = build_tree(cc, tuple(range(16)), ordering, 2, 2)
     assert tree_to_json(res.tree) == (GOLDEN / "tree_build_nested16.json").read_text()
     assert calls == []
 
@@ -257,7 +285,7 @@ def test_build_tree_reports_every_selected_root(height):
     # Height 3 fails on the nested16 chains; every level excludes some roots.
     cc, ordering = nested16()
     selected = (15, 3, 0, 7, 11, 1, 9, 4, 13, 2, 6, 14, 5, 8, 12, 10)
-    res = build_tree(cc, selected, ordering, 2, height, 1)
+    res = build_tree(cc, selected, ordering, height, 1)
     assert sorted(res.per_root) == sorted(selected)
     ok = sorted(i for i, reason in res.per_root.items() if reason == "ok")
     if height >= 3:
