@@ -78,7 +78,13 @@ def _parse_indices(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text or text == "-":
         return ()
-    return tuple(int(t) for t in text.split(","))
+    indices = []
+    for tok in text.split(","):
+        try:
+            indices.append(int(tok))
+        except ValueError:
+            raise ValueError(f"bad index {tok!r}: expected comma-separated integers or '-'") from None
+    return tuple(indices)
 
 
 def _parse_range(text: str) -> list[int]:

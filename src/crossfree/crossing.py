@@ -119,14 +119,23 @@ def _max_bipartite_matching(n: int, succ: list[int]) -> list[int]:
     Each root's augmenting-path DFS is a loop over an explicit alternating
     path: path[i] is a left vertex and via[i] the right vertex leading from
     it to path[i + 1]. unvisited is a right-vertex bitmask per root that
-    starts full and loses every scanned right vertex, so succ[u] & unvisited
-    is what u has left to try, with no complement built per step.
+    starts as live and loses every scanned right vertex, so succ[u] &
+    unvisited is what u has left to try, with no complement built per step.
     Deterministic: left vertices processed ascending, neighbors ascending.
+
+    live drops every right vertex a failed root scanned. Such a vertex is
+    matched, and so is every right vertex its alternating paths reach: the
+    failed search covered all of them. A path that enters one can never
+    leave this closed set for a free vertex, so no later augmentation runs
+    through it, and its matching, hence the closure, never changes. Entering
+    a dead vertex would only lead a DFS through dead vertices to a dead end,
+    so skipping them leaves every root's first augmenting path, and with it
+    the matching, exactly as without the mask.
     """
     match_right = [-1] * n
-    full = (1 << n) - 1
+    live = (1 << n) - 1
     for root in range(n):
-        path, via, unvisited = [root], [], full
+        path, via, unvisited = [root], [], live
         while path:
             m = succ[path[-1]] & unvisited
             if not m:
@@ -144,6 +153,8 @@ def _max_bipartite_matching(n: int, succ: list[int]) -> list[int]:
                     match_right[v] = u
                 break
             path.append(w)
+        else:
+            live &= unvisited  # no augmenting path: the scanned vertices are dead
     return match_right
 
 

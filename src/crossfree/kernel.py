@@ -6,7 +6,10 @@ neighbors of v. The search is an include-first DFS over an explicit stack of
 with the graph. Each step branches on the lowest candidate vertex, so the
 first k-clique found is the lexicographically least one (as a sorted index
 tuple). Pruning uses a greedy coloring bound, which only discards branches
-that cannot contain a k-clique, so the lex-least contract survives.
+that cannot contain a k-clique, so the lex-least contract survives. The
+bound colors the whole candidate set once, at entry. After that each root
+is bounded only at its own first node, which colors the root's neighbors
+for need k - 1, a much smaller set than the live one.
 
 The bound reads a complement table, ``nonadj[v] = ~(adj[v] | 1 << v)``:
 the vertices that may share v's color class, with v itself removed. Each
@@ -69,15 +72,18 @@ _FIX_AFTER = 1
 def _search(adj, live: int, k: int, orbits=None):
     """The one DFS behind ``find_k_clique_in`` and ``find_k_clique``.
 
-    The outer loop is the exclude spine: it takes the live roots in index
-    order and runs the include-first DFS in each root's subtree. A refuted
-    root v lies in no k-clique, as every lower root has left the live set
-    for lying in none. With orbits (passed only with every vertex live), an
-    automorphism maps k-cliques to k-cliques, so v's whole orbit leaves the
-    live roots; the clique found is still the lex-least one. Finding the
-    orbits costs a group search, so orbits() is called at most once, when a
-    refuted root's subtree first costs more than ``_FIX_AFTER * len(adj)``
-    nodes, and the roots refuted up to then drop their orbits at once.
+    The color bound on the whole live set runs once, before the spine, so
+    a graph with fewer than k colors ends at once. The outer loop is the
+    exclude spine: it takes the live roots in index order and runs the
+    include-first DFS in each root's subtree, whose first node bounds the
+    root's own neighbors. A refuted root v lies in no k-clique, as every
+    lower root has left the live set for lying in none. With orbits (passed
+    only with every vertex live), an automorphism maps k-cliques to
+    k-cliques, so v's whole orbit leaves the live roots; the clique found
+    is still the lex-least one. Finding the orbits costs a group search, so
+    orbits() is called at most once, when a refuted root's subtree first
+    costs more than ``_FIX_AFTER * len(adj)`` nodes, and the roots refuted
+    up to then drop their orbits at once.
 
     Neither public function calls the other, so a wrapper installed on one
     of them sees exactly the calls made to it.
@@ -85,10 +91,10 @@ def _search(adj, live: int, k: int, orbits=None):
     if k <= 0:
         return ()
     nonadj = _nonadj_table(adj, live) if k > 2 and live.bit_count() >= k else None
+    if nonadj is not None and _color_bound(nonadj, live, k) < k:
+        return None
     orbit = None
     while live.bit_count() >= k:
-        if nonadj is not None and _color_bound(nonadj, live, k) < k:
-            return None
         low = live & -live
         live ^= low
         v = low.bit_length() - 1

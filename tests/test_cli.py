@@ -245,14 +245,24 @@ def test_decompose(capsys, tmp_path):
     assert len(doc["chains"]) == 1 and len(doc["max_antichain"]) == 1
 
 
-def test_decompose_matches_golden(capsys, tmp_path):
-    n = 7
-    fam = write_family(tmp_path, f"n {n}\n" + "".join(
+def power_set_file(tmp_path, n):
+    return write_family(tmp_path, f"n {n}\n" + "".join(
         (",".join(str(e) for e in range(n) if m >> e & 1) or "-") + "\n" for m in range(1 << n)
     ))
-    code, out, _ = run(capsys, "decompose", fam)
+
+
+def test_decompose_matches_golden(capsys, tmp_path):
+    code, out, _ = run(capsys, "decompose", power_set_file(tmp_path, 7))
     assert code == 0
     assert out == (GOLDEN / "decompose_all_n7.txt").read_text()
+
+
+def test_decompose_json_matches_golden(capsys, tmp_path):
+    # 126 of the 512 roots find no augmenting path, and the others find
+    # long ones, so the chains pin the matching's dead-vertex skipping.
+    code, out, _ = run(capsys, "decompose", "--format", "json", power_set_file(tmp_path, 9))
+    assert code == 0
+    assert out == (GOLDEN / "decompose_all_n9.json").read_text()
 
 
 @pytest.mark.parametrize("mode", ["strict", "weak"])
@@ -606,6 +616,18 @@ def test_chain_conditions_reject_vacuous_parameters(capsys, command, option, mes
     assert out == ""
     assert_usage_error(code, err)
     assert message in err
+
+
+@pytest.mark.parametrize("command", [
+    ["chains", "check", "--k", "2", "--indices", "0,x", "--ordering", str(FIXTURES / "ordering.txt"),
+     str(FIXTURES / "chains.txt")],
+    ["tree", "prune", "--keep", "x", str(FIXTURES / "tree.json")],
+])
+def test_bad_index_list_is_usage_error(capsys, command):
+    code, out, err = run(capsys, *command)
+    assert out == ""
+    assert_usage_error(code, err)
+    assert "bad index 'x': expected comma-separated integers or '-'" in err
 
 
 @pytest.mark.parametrize("option", [["--n", "5..3", "--k", "2"], ["--n", "4", "--k", "3..2"]])

@@ -255,6 +255,10 @@ def small_families(draw):
 @settings(deadline=None)
 @given(small_families())
 @example(Family(GroundSet(8), tuple(range(1 << 8))))
+# Many failed roots and long augmenting paths, so the dead right vertices
+# the fast loop skips are many and lie on the reference's paths.
+@example(Family(GroundSet(10), tuple(range(1 << 10))))
+@example(Family(GroundSet(12), tuple(random.Random(12).sample(range(1 << 12), 300))))
 def test_matching_matches_reference(fam):
     succ = superset_rows(fam)
     n = len(fam.sets)

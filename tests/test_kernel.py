@@ -142,15 +142,30 @@ def test_strict_intervals_n24_clique_number_is_12():
     # kernel's work, so a change that prunes less (or more) shows here.
     fam = gen_cyclic_intervals(24, False)
     witness = tuple(range(264, 276))
-    assert counted_search(fam, 12, False) == (witness, 37_521, 0)
-    assert counted_search(fam, 12, True) == (witness, 3_962, 1)
-    assert counted_search(fam, 13, False) == (None, 819, 0)
-    assert counted_search(fam, 13, True) == (None, 819, 0)
+    assert counted_search(fam, 12, False) == (witness, 37_257, 0)
+    assert counted_search(fam, 12, True) == (witness, 3_736, 1)
+    assert counted_search(fam, 13, False) == (None, 898, 0)
+    assert counted_search(fam, 13, True) == (None, 898, 0)
 
 
 def test_intervals_n37_with_trivial_sets_k3_never_fetch_orbits():
-    # verify's check --k 3 on 1,334 sets: the first root finds the witness.
-    assert counted_search(gen_cyclic_intervals(37, True), 3, True) == ((75, 76, 77), 76, 0)
+    # verify's check --k 3 on 1,334 sets: one bound at entry, then the first
+    # root finds the witness.
+    assert counted_search(gen_cyclic_intervals(37, True), 3, True) == ((75, 76, 77), 1, 0)
+
+
+def test_entry_bound_refutes_multipartite_graph():
+    # A complete 5-partite graph with interleaved parts of 40 vertices has
+    # clique number 5; greedy coloring finds the 5 parts, so the bound at
+    # entry refutes k = 6 before the spine takes a single root.
+    n, parts = 200, 5
+    adj = [sum(1 << u for u in range(n) if u % parts != v % parts) for v in range(n)]
+    with mock.patch.object(kernel, "_color_bound", side_effect=kernel._color_bound) as bound:
+        assert kernel.find_k_clique(adj, parts + 1) is None
+        assert bound.call_count == 1
+        assert kernel.find_k_clique_in(adj, (1 << n) - 1, parts + 1) is None
+        assert bound.call_count == 2
+    assert kernel.find_k_clique(adj, parts) == tuple(range(parts))
 
 
 def relabelled(fam, rng):
