@@ -89,13 +89,14 @@ def _parse_indices(text: str) -> tuple[int, ...]:
 
 def _parse_range(text: str) -> list[int]:
     """'3' -> [3]; '3..5' -> [3, 4, 5]."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
-        if not values:
-            raise ValueError(f"empty range {text}")
-        return values
-    return [int(text)]
+    lo, dots, hi = text.partition("..")
+    try:
+        values = list(range(int(lo), int(hi) + 1)) if dots else [int(text)]
+    except ValueError:
+        raise ValueError(f"bad range {text!r}: expected an integer or lo..hi") from None
+    if not values:
+        raise ValueError(f"empty range {text}")
+    return values
 
 
 def _print_witness(witness) -> None:

@@ -98,9 +98,10 @@ def find_pairwise_crossing_witness(fam: Family, k: int, mode: str):
     pairs to crossing pairs, so the family's set orbits (``set_orbits``)
     are orbits of the crossing graph. The kernel uses them for orbital
     fixing: a refuted root lies in no k-clique, so neither does any set in
-    its orbit. It asks for them only once a refuted root has cost more
-    nodes than the family has sets, so calls that end quickly never search
-    for the group. The witness is the same lex-least one either way.
+    its orbit. It asks for them only once the refuted roots together have
+    cost more than ``kernel._FIX_AFTER`` steps of work per set of the
+    family, so calls that end quickly never search for the group. The
+    witness is the same lex-least one either way.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")

@@ -64,9 +64,10 @@ def _color_bound(nonadj, cand: int, need: int) -> int:
     return classes
 
 
-# find_k_clique asks for orbits once a refuted root's subtree has cost more
-# than this many nodes per vertex of the graph.
-_FIX_AFTER = 1
+# find_k_clique asks for orbits once the refuted roots' subtrees together
+# have cost more than this much work per vertex of the graph. A node counts
+# 1, plus the size of its candidate set when it runs the color bound.
+_FIX_AFTER = 16
 
 
 def _search(adj, live: int, k: int, orbits=None):
@@ -81,9 +82,10 @@ def _search(adj, live: int, k: int, orbits=None):
     only with every vertex live), an automorphism maps k-cliques to
     k-cliques, so v's whole orbit leaves the live roots; the clique found
     is still the lex-least one. Finding the orbits costs a group search, so
-    orbits() is called at most once, when a refuted root's subtree first
-    costs more than ``_FIX_AFTER * len(adj)`` nodes, and the roots refuted
-    up to then drop their orbits at once.
+    orbits() is called at most once, when the work spent on refuted roots,
+    summed over all of them, first exceeds ``_FIX_AFTER * len(adj)``, and
+    the roots refuted up to then drop their orbits at once. Many cheap
+    refutations thus add up to a fetch as one costly refutation does.
 
     Neither public function calls the other, so a wrapper installed on one
     of them sees exactly the calls made to it.
@@ -94,21 +96,24 @@ def _search(adj, live: int, k: int, orbits=None):
     if nonadj is not None and _color_bound(nonadj, live, k) < k:
         return None
     orbit = None
+    spent = 0
     while live.bit_count() >= k:
         low = live & -live
         live ^= low
         v = low.bit_length() - 1
         stack = [(low, live & adj[v], k - 1)]
-        nodes = 0
         while stack:
-            nodes += 1
+            spent += 1
             clique, cand, need = stack.pop()
             if need <= 0:
                 return elements_of(clique)
-            if cand.bit_count() < need:
+            size = cand.bit_count()
+            if size < need:
                 continue
-            if need > 2 and _color_bound(nonadj, cand, need) < need:
-                continue
+            if need > 2:
+                spent += size
+                if _color_bound(nonadj, cand, need) < need:
+                    continue
             low = cand & -cand
             rest = cand ^ low
             # Pushed last, the include child is explored first.
@@ -116,7 +121,7 @@ def _search(adj, live: int, k: int, orbits=None):
             stack.append((clique | low, rest & adj[low.bit_length() - 1], need - 1))
         if orbit is not None:
             live &= ~orbit[v]
-        elif orbits is not None and nodes > _FIX_AFTER * len(adj):
+        elif orbits is not None and spent > _FIX_AFTER * len(adj):
             orbit = orbits()
             for u in range(v + 1):
                 live &= ~orbit[u]

@@ -638,6 +638,22 @@ def test_table_reversed_range_is_usage_error(capsys, option):
     assert "empty range" in err
 
 
+@pytest.mark.parametrize("option, text", [
+    (["--n", "3..x", "--k", "2"], "3..x"),
+    (["--n", "2..", "--k", "2"], "2.."),
+    (["--n", "..3", "--k", "2"], "..3"),
+    (["--n", "1..2..3", "--k", "2"], "1..2..3"),
+    (["--n", "x", "--k", "2"], "x"),
+    (["--n", "4", "--k", "2..x"], "2..x"),
+    (["--n", "4", "--k", "..3"], "..3"),
+])
+def test_table_malformed_range_is_usage_error(capsys, option, text):
+    code, out, err = run(capsys, "table", *option)
+    assert out == ""
+    assert_usage_error(code, err)
+    assert f"bad range {text!r}: expected an integer or lo..hi" in err
+
+
 @pytest.mark.parametrize("n", ["21", "64"])
 def test_gen_random_large_n_is_usage_error(capsys, n):
     # Rejected before the 2^n candidate list is allocated.

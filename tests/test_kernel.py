@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate
 from unittest import mock
 
 from hypothesis import given, settings
@@ -143,9 +144,55 @@ def test_strict_intervals_n24_clique_number_is_12():
     fam = gen_cyclic_intervals(24, False)
     witness = tuple(range(264, 276))
     assert counted_search(fam, 12, False) == (witness, 37_257, 0)
-    assert counted_search(fam, 12, True) == (witness, 3_736, 1)
+    assert counted_search(fam, 12, True) == (witness, 114, 1)
     assert counted_search(fam, 13, False) == (None, 898, 0)
-    assert counted_search(fam, 13, True) == (None, 898, 0)
+    assert counted_search(fam, 13, True) == (None, 114, 1)
+
+
+def refuted_root_work(adj, k):
+    """The work of each root of the plain spine, on a graph with no k-clique,
+    counted as the kernel's fetch budget counts it: 1 per node, plus the
+    candidate count of each node that runs the color bound. Also returns the
+    number of color bounds run."""
+    n = len(adj)
+    nonadj = kernel._nonadj_table(adj, (1 << n) - 1)
+    work, bounds = [], 0
+    for v in range(n - k + 1):
+        stack = [(adj[v] >> (v + 1) << (v + 1), k - 1)]
+        spent = 0
+        while stack:
+            spent += 1
+            cand, need = stack.pop()
+            assert need > 0
+            if cand.bit_count() < need:
+                continue
+            if need > 2:
+                spent += cand.bit_count()
+                bounds += 1
+                if kernel._color_bound(nonadj, cand, need) < need:
+                    continue
+            low = cand & -cand
+            stack.append((cand ^ low, need))
+            stack.append(((cand ^ low) & adj[low.bit_length() - 1], need - 1))
+        work.append(spent)
+    return work, bounds
+
+
+def test_orbit_budget_is_summed_over_refuted_roots():
+    # check --k 13 on the n=24 strict intervals refutes 540 roots. The first
+    # 123 are each cheaper than the budget that fetches the group; only their
+    # summed work reaches it.
+    fam = gen_cyclic_intervals(24, False)
+    adj = crossing_graph(fam, "strict").adj
+    budget = kernel._FIX_AFTER * len(adj)
+    work, bounds = refuted_root_work(adj, 13)
+    assert bounds + 1 == counted_search(fam, 13, False)[1]  # + the entry bound
+    fetched_after = next(i for i, spent in enumerate(accumulate(work)) if spent > budget)
+    assert fetched_after == 122
+    assert max(work[: fetched_after + 1]) < budget
+    assert counted_search(fam, 13, True) == (None, 114, 1)
+    with mock.patch.object(kernel, "_FIX_AFTER", 10**9):
+        assert counted_search(fam, 13, True) == (None, 898, 0)
 
 
 def test_intervals_n37_with_trivial_sets_k3_never_fetch_orbits():
@@ -194,9 +241,9 @@ def symmetric_queries(draw):
 
 
 def test_orbital_fixing_matches_plain_kernel():
-    # _FIX_AFTER = 0 asks for orbits at the first refuted root, so every
-    # example that refutes a root takes the orbit path.
-    calls = {"examples": 0, "fired": 0, "brute": 0}
+    # Run at the default _FIX_AFTER, then at 0, which asks for orbits at the
+    # first refuted root, so every example that refutes a root takes the
+    # orbit path there; the coverage floors are on that run.
 
     @settings(deadline=None, max_examples=400)
     @given(symmetric_queries())
@@ -219,6 +266,9 @@ def test_orbital_fixing_matches_plain_kernel():
             assert clique == brute_cliques(adj, (1 << len(adj)) - 1, k)
             calls["brute"] += len(fired)
 
+    calls = {"examples": 0, "fired": 0, "brute": 0}
+    check()
+    calls = {"examples": 0, "fired": 0, "brute": 0}
     with mock.patch.object(kernel, "_FIX_AFTER", 0):
         check()
     assert calls["fired"] >= calls["examples"] // 4
