@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import kernel
 from .crossing import find_pairwise_crossing_witness
-from .families import Family, GroundSet, crossing_row, elements_of, mask_of
+from .families import Family, GroundSet, crossing_row, elements_of, mask_of, region_tables
 
 # Largest n for gen_random_cross_free, which lists all 2^n subsets.
 MAX_RANDOM_GROUND = 20
@@ -88,9 +88,9 @@ def gen_random_cross_free(n: int, k: int, mode: str, seed: int) -> Family:
     Iterates the 2^n subsets in a seed-shuffled order and keeps a subset
     whenever it does not complete k pairwise-crossing members; each
     candidate's crossing neighbours among the kept sets are one row of their
-    membership index. The output is re-verified witness-free before
-    returning. n is capped at MAX_RANDOM_GROUND, checked before the 2^n
-    candidates are listed.
+    region tables, rebuilt whenever a set is kept. The output is re-verified
+    witness-free before returning. n is capped at MAX_RANDOM_GROUND, checked
+    before the 2^n candidates are listed.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -103,9 +103,10 @@ def gen_random_cross_free(n: int, k: int, mode: str, seed: int) -> Family:
     random.Random(seed).shuffle(order)
     kept: list[int] = []
     masks = [0] * n  # membership index of kept, by insertion index
+    tables = region_tables(masks)
     adj: list[int] = []  # crossing adjacency among kept, by insertion index
     for cand in order:
-        nb = crossing_row(cand, masks, mode)
+        nb = crossing_row(cand, tables, mode)
         # A new k-witness must include cand, i.e. a (k-1)-clique among its
         # crossing neighbors.
         if kernel.find_k_clique_in(adj, nb, k - 1) is None:
@@ -119,6 +120,7 @@ def gen_random_cross_free(n: int, k: int, mode: str, seed: int) -> Family:
             kept.append(cand)
             for e in elements_of(cand):
                 masks[e] |= 1 << idx
+            tables = region_tables(masks)
     fam = Family(ground, tuple(kept))
     assert find_pairwise_crossing_witness(fam, k, mode) is None
     return fam

@@ -20,6 +20,7 @@ from .families import (
     crossing_row,
     elements_of,
     membership_masks,
+    region_tables,
     superset_rows,
 )
 from .symmetry import set_orbits
@@ -84,8 +85,8 @@ def crossing_graph(fam: Family, mode: str) -> CrossingGraph:
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    masks = membership_masks(fam.sets, fam.ground.n)
-    return CrossingGraph(fam, mode, tuple(crossing_row(a, masks, mode) for a in fam.sets))
+    tables = region_tables(membership_masks(fam.sets, fam.ground.n))
+    return CrossingGraph(fam, mode, tuple(crossing_row(a, tables, mode) for a in fam.sets))
 
 
 def find_pairwise_crossing_witness(fam: Family, k: int, mode: str):

@@ -558,5 +558,7 @@ def tree_from_json(text: str) -> CrossSupportTree:
 
     try:
         return CrossSupportTree(decode(json.loads(text)))
+    except json.JSONDecodeError as exc:
+        raise MalformedTreeError(f"tree file is not JSON: {exc}") from None
     except RecursionError:
         raise MalformedTreeError("tree JSON is nested too deeply") from None

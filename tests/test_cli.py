@@ -560,6 +560,23 @@ def test_deeply_nested_tree_json_is_usage_error(capsys, tmp_path, command):
 
 
 @pytest.mark.parametrize(
+    "command",
+    [
+        ["prune", "--keep", "0"],
+        ["validate", *TREE_INPUTS],
+        ["extract", *TREE_INPUTS, "--k", "3"],
+    ],
+)
+def test_tree_file_not_json_is_usage_error(capsys, tmp_path, command):
+    tree = tmp_path / "tree.json"
+    tree.write_text("chain 0\n")
+    code, out, err = run(capsys, "tree", *command, str(tree))
+    assert out == ""
+    assert_usage_error(code, err)
+    assert err.startswith("error: tree file is not JSON: Expecting value")
+
+
+@pytest.mark.parametrize(
     "text, lineno",
     [
         ("n 4\nchain 0;\n", 2),

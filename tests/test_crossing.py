@@ -87,11 +87,35 @@ _CROSSING_KINDS = {
 }
 
 
+def _random_family(n, size, seed):
+    """About 11/8 * size sets over n: random ones, plus meets, joins and
+    complements of a few, so comparable and weak-only pairs occur at any n."""
+    rng = random.Random(seed)
+    full = (1 << n) - 1
+    sets = [rng.getrandbits(n) for _ in range(size)]
+    pairs = list(zip(sets[: size // 8], sets[size // 8 :]))
+    sets += [a & b for a, b in pairs] + [a | b for a, b in pairs] + [full ^ a for a, _ in pairs]
+    return Family(GroundSet(n), (0, full, *sets))
+
+
 @settings(deadline=None)
 @given(indexed_families())
 @example(Family(GroundSet(2), (0b01, 0b10)))
 @example(Family(GroundSet(6), (0b000111, 0b001111, 0b110111)))
+# The strategy stops near 22 sets; these index rows of more than one word.
+@example(Family(GroundSet(5), tuple(range(32))))
+@example(_random_family(64, 144, 64))
+@example(Family(GroundSet(9), tuple(m for m in range(512) if 2 <= m.bit_count() <= 3)))
 def test_index_rows_match_pairwise_scan(fam):
+    assert_index_rows_match_pairwise_scan(fam)
+
+
+def test_index_rows_match_pairwise_scan_for_every_n():
+    for n in range(1, 65):
+        assert_index_rows_match_pairwise_scan(_random_family(n, 24, n))
+
+
+def assert_index_rows_match_pairwise_scan(fam):
     sets, g = fam.sets, fam.ground
     rel = {(i, j): classify_pair(a, b, g) for i, a in enumerate(sets) for j, b in enumerate(sets)}
     for mode, kinds in _CROSSING_KINDS.items():
@@ -130,6 +154,9 @@ def pairwise_random_cross_free(n, k, mode, seed):
     st.sampled_from(sorted(_CROSSING_KINDS)),
     st.integers(min_value=0, max_value=2**64 - 1),
 )
+# At n=9 the generator's tables span 3 runs of elements, the last one short.
+@example(9, 3, "strict", 2026)
+@example(9, 2, "weak", 5)
 def test_gen_random_matches_pairwise_generator(n, k, mode, seed):
     assert gen_random_cross_free(n, k, mode, seed) == pairwise_random_cross_free(n, k, mode, seed)
 

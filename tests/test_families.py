@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossfree.families import (
@@ -18,8 +18,13 @@ from crossfree.families import (
     format_set,
     is_weakly_crossing,
     mask_of,
+    membership_masks,
+    parse_element,
     parse_family,
+    parse_set_line,
+    region_tables,
     serialize_family,
+    set_regions,
 )
 
 
@@ -230,3 +235,107 @@ def test_serialize_roundtrip_stable():
 def test_format_set():
     assert format_set(0) == "-"
     assert format_set(0b101) == "0,2"
+
+
+def loop_membership_masks(sets, n):
+    """membership_masks by one big-int OR per element per set, as the slow oracle."""
+    masks = [0] * n
+    for i, s in enumerate(sets):
+        for e in elements_of(s):
+            masks[e] |= 1 << i
+    return masks
+
+
+def loop_set_regions(a, masks):
+    """set_regions by one step per ground element, as the slow oracle."""
+    inter = beyond = outside = 0
+    within = -1
+    for e, m in enumerate(masks):
+        if a >> e & 1:
+            inter |= m
+            within &= m
+        else:
+            beyond |= m
+            outside |= ~m
+    return inter, beyond, within, outside
+
+
+@st.composite
+def indexed_sets(draw):
+    """(n, sets, a): a list of sets over n <= 64 and one more set to row."""
+    n = draw(st.one_of(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=64)))
+    full = (1 << n) - 1
+    mask = st.one_of(st.just(0), st.just(full), st.integers(min_value=0, max_value=full))
+    return n, draw(st.lists(mask, max_size=80)), draw(mask)
+
+
+# Ground sizes around the 4-element runs of the tables and the word size;
+# a list of more than 64 sets makes index masks wider than a word.
+_INDEX_EXAMPLES = [
+    (1, [], 0),
+    (1, [0, 1, 1], 1),
+    (3, [0b101, 0b010, 0b111, 0], 0b110),
+    (4, list(range(16)), 0b0110),
+    (5, [m * 3 % 32 for m in range(32)], 0b10011),
+    (63, [], (1 << 63) - 1),
+    (63, [(1 << 63) - 1, 1 << 62, 0b1011 << 58, 0], 0b1111 << 59),
+    (64, [(1 << 64) - 1, 1 << 63, 0, 0xF0F0_F0F0_F0F0_F0F0], 0),
+    (64, [random.Random(7).getrandbits(64) for _ in range(100)], 0xFFFF_0000_FFFF_0000),
+]
+
+
+def _with_examples(test):
+    for case in _INDEX_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+@settings(deadline=None)
+@given(indexed_sets())
+@_with_examples
+def test_membership_masks_match_loop(case):
+    n, sets, _ = case
+    assert membership_masks(sets, n) == loop_membership_masks(sets, n)
+
+
+@settings(deadline=None)
+@given(indexed_sets())
+@_with_examples
+def test_set_regions_match_loop(case):
+    n, sets, a = case
+    masks = loop_membership_masks(sets, n)
+    index = (1 << len(sets)) - 1
+    got = set_regions(a, region_tables(masks))
+    assert [m & index for m in got] == [m & index for m in loop_set_regions(a, masks)]
+
+
+def loop_parse_set_line(line, ground, lineno=None):
+    """parse_set_line with one parse_element call per token, as the slow oracle."""
+    if line == "-":
+        return 0
+    mask = 0
+    prev = -1
+    for tok in line.split(","):
+        e = parse_element(tok, ground, lineno)
+        if e <= prev:
+            raise FamilyFormatError(f"elements must be ascending, got {e}", lineno)
+        prev = e
+        mask |= 1 << e
+    return mask
+
+
+def _parse_outcome(parse, line, ground):
+    try:
+        return "ok", parse(line, ground, 7)
+    except FamilyFormatError as exc:
+        return "error", str(exc), exc.line
+
+
+def test_parse_set_line_matches_per_token_loop():
+    tokens = ["-", "0", "1", " 2", "3 ", "5", "9", "12", "-1", "-0", "x", "", " ", "+3", "1_0", "07", "٣", "1e2"]
+    rng = random.Random(22)
+    for _ in range(3000):
+        ground = GroundSet(rng.randrange(1, 13))
+        line = ",".join(rng.choice(tokens) for _ in range(rng.randrange(1, 5)))
+        expected = _parse_outcome(loop_parse_set_line, line, ground)
+        assert _parse_outcome(parse_set_line, line, ground) == expected, line
