@@ -111,11 +111,8 @@ def gen_random_cross_free(n: int, k: int, mode: str, seed: int) -> Family:
         # crossing neighbors.
         if kernel.find_k_clique_in(adj, nb, k - 1) is None:
             idx = len(kept)
-            rest = nb
-            while rest:
-                low = rest & -rest
-                adj[low.bit_length() - 1] |= 1 << idx
-                rest ^= low
+            for u in elements_of(nb):
+                adj[u] |= 1 << idx
             adj.append(nb)
             kept.append(cand)
             for e in elements_of(cand):

@@ -225,11 +225,7 @@ def greedy_independent_set(adj) -> tuple[int, ...]:
     while alive:
         best_v = -1
         best_d = n + 1
-        m = alive
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
+        for v in elements_of(alive):
             d = (adj[v] & alive).bit_count()
             if d < best_d:
                 best_d = d

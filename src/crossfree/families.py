@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MAX_GROUND = 64
 
@@ -158,10 +158,13 @@ def membership_masks(sets, n: int) -> list[int]:
 
     masks[e] has bit i set iff element e lies in sets[i]. Every set must be
     below 2^n, as ``Family`` guarantees: the n-digit binary strings of the
-    sets, last set first, are transposed into one digit string per element.
+    sets, last set first, are joined, and element e's digit string is the
+    slice that takes every n-th digit from position n-1-e.
     """
-    digits = zip(*(format(s, f"0{n}b") for s in reversed(sets)))
-    return [int("".join(col), 2) for col in digits][::-1] or [0] * n
+    if not sets:
+        return [0] * n
+    bits = "".join(format(s, f"0{n}b") for s in reversed(sets))
+    return [int(bits[j::n], 2) for j in reversed(range(n))]
 
 
 def region_tables(masks) -> list[tuple[list[int], list[int]]]:

@@ -11,15 +11,6 @@ bound colors the whole candidate set once, at entry. After that each root
 is bounded only at its own first node, which colors the root's neighbors
 for need k - 1, a much smaller set than the live one.
 
-The bound reads a complement table, ``nonadj[v] = ~(adj[v] | 1 << v)``:
-the vertices that may share v's color class, with v itself removed. Each
-coloring step is then one AND, where the plain adjacency would allocate two
-fresh complements. A search builds the table once, at entry, for the
-vertices of its candidate mask only; every later candidate mask is a subset
-of it, so no other entry is ever read. Only a search for k > 2 over at
-least k candidates can ever need the bound, so the many tiny calls that
-never color build no table.
-
 ``find_k_clique`` may also take the graph's orbits for orbital fixing
 (Margot, "Exploiting orbits in symmetric ILP", Math. Program. 98, 2003);
 see ``_search``.
@@ -32,22 +23,13 @@ from .families import elements_of
 IMPLEMENTATION = "python"
 
 
-def _nonadj_table(adj, root: int) -> list[int]:
-    """nonadj[v] = ~(adj[v] | 1 << v) for each vertex v of root, else 0."""
-    nonadj = [0] * len(adj)
-    for v in elements_of(root):
-        nonadj[v] = ~(adj[v] | 1 << v)
-    return nonadj
-
-
-def _color_bound(nonadj, cand: int, need: int) -> int:
+def _color_bound(adj, cand: int, need: int) -> int:
     """Number of greedy color classes covering cand, capped at need.
 
     Any clique inside cand has at most one vertex per independent color
     class, so the class count is an admissible upper bound on clique size.
     A class takes the lowest uncolored vertex, then repeatedly the lowest
-    uncolored vertex not adjacent to any taken one; nonadj (see
-    ``_nonadj_table``) must cover every vertex of cand. Each taken vertex
+    uncolored vertex not adjacent to any taken one. Each taken vertex
     leaves m, the uncolored set, at once.
     """
     classes = 0
@@ -60,7 +42,7 @@ def _color_bound(nonadj, cand: int, need: int) -> int:
         while avail:
             low = avail & -avail
             m ^= low
-            avail &= nonadj[low.bit_length() - 1]
+            avail &= ~(adj[low.bit_length() - 1] | low)
     return classes
 
 
@@ -92,8 +74,7 @@ def _search(adj, live: int, k: int, orbits=None):
     """
     if k <= 0:
         return ()
-    nonadj = _nonadj_table(adj, live) if k > 2 and live.bit_count() >= k else None
-    if nonadj is not None and _color_bound(nonadj, live, k) < k:
+    if k > 2 and _color_bound(adj, live, k) < k:
         return None
     orbit = None
     spent = 0
@@ -112,7 +93,7 @@ def _search(adj, live: int, k: int, orbits=None):
                 continue
             if need > 2:
                 spent += size
-                if _color_bound(nonadj, cand, need) < need:
+                if _color_bound(adj, cand, need) < need:
                     continue
             low = cand & -cand
             rest = cand ^ low

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from crossfree.families import (
     elements_of,
     family_predicates,
     mask_of,
+    serialize_family,
 )
 from crossfree.search import brute_force_max
 
@@ -104,3 +106,16 @@ def test_random_cross_free_not_above_exact_maximum():
     cap = brute_force_max(universe, 2, "strict")
     for seed in range(5):
         assert len(gen_random_cross_free(4, 2, "strict", seed)) <= cap
+
+
+@pytest.mark.parametrize(
+    "k, size, digest",
+    [(4, 94, "94865edfc91fc38a"), (5, 124, "a0d62d0db9258091"), (6, 148, "6fe9b68b24ff6f73")],
+)
+def test_random_cross_free_n12_pinned(k, size, digest):
+    # The generator's k >= 4 path, where every candidate makes a colored
+    # kernel search over its crossing neighbours: the families are pinned
+    # by size and by a prefix of the sha256 of their serialization.
+    fam = gen_random_cross_free(12, k, "strict", 3)
+    assert len(fam) == size
+    assert hashlib.sha256(serialize_family(fam).encode()).hexdigest()[:16] == digest
