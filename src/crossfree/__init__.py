@@ -21,7 +21,6 @@ from .chains import (
     weak_reduce,
 )
 from .constructions import (
-    CyclicInterval,
     gen_cyclic_intervals,
     gen_laminar_max,
     gen_random_cross_free,

@@ -22,6 +22,7 @@ from .families import (
     GroundSet,
     elements_of,
     format_set,
+    membership_masks,
     parse_element,
     parse_set_line,
     split_header,
@@ -51,10 +52,11 @@ def weak_reduce(fam: Family, k: int) -> Family:
         raise NotCrossFreeError(witness)
     n = fam.ground.n
     total = len(fam)
+    masks = membership_masks(fam.sets, n)
     best_x = 0
     best_key = (-1, -1)
     for x in range(n):
-        avoid = sum(1 for m in fam.sets if not m >> x & 1)
+        avoid = total - masks[x].bit_count()
         value = avoid if 2 * avoid >= total else total - avoid
         # on equal size, prefer the branch that keeps members unchanged
         if (value, avoid) > best_key:

@@ -87,11 +87,11 @@ def _parse_indices(text: str) -> tuple[int, ...]:
     return tuple(indices)
 
 
-def _parse_range(text: str) -> list[int]:
-    """'3' -> [3]; '3..5' -> [3, 4, 5]."""
+def _parse_range(text: str) -> range:
+    """'3' -> range(3, 4); '3..5' -> range(3, 6), built lazily."""
     lo, dots, hi = text.partition("..")
     try:
-        values = list(range(int(lo), int(hi) + 1)) if dots else [int(text)]
+        values = range(int(lo), int(hi if dots else lo) + 1)
     except ValueError:
         raise ValueError(f"bad range {text!r}: expected an integer or lo..hi") from None
     if not values:

@@ -8,7 +8,6 @@ families on every platform.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import kernel
 from .crossing import find_pairwise_crossing_witness
@@ -16,30 +15,6 @@ from .families import Family, GroundSet, crossing_row, elements_of, mask_of, reg
 
 # Largest n for gen_random_cross_free, which lists all 2^n subsets.
 MAX_RANDOM_GROUND = 20
-
-
-@dataclass(frozen=True)
-class CyclicInterval:
-    """The set {start, start+1 mod n, ..., start+length-1 mod n}.
-
-    Length 0 encodes the empty set and length n the full ground set; both
-    are canonicalized to start 0.
-    """
-
-    start: int
-    length: int
-
-    def mask(self, n: int) -> int:
-        m = 0
-        for off in range(self.length):
-            m |= 1 << (self.start + off) % n
-        return m
-
-    @staticmethod
-    def canonical(start: int, length: int, n: int) -> "CyclicInterval":
-        if length in (0, n):
-            return CyclicInterval(0, length)
-        return CyclicInterval(start % n, length)
 
 
 def gen_laminar_max(n: int) -> Family:
@@ -63,8 +38,6 @@ def gen_laminar_max(n: int) -> Family:
         split(mid, hi)
 
     split(0, n)
-    if n == 1:
-        masks.add(1)  # root equals the lone singleton
     fam = Family(ground, tuple(masks))
     assert len(fam) == 2 * n
     return fam
@@ -76,7 +49,7 @@ def gen_cyclic_intervals(n: int, include_trivial: bool) -> Family:
     masks = []
     for start in range(n):
         for length in range(1, n):
-            masks.append(CyclicInterval(start, length).mask(n))
+            masks.append(mask_of((start + off) % n for off in range(length)))
     if include_trivial:
         masks.extend([0, ground.full_mask])
     return Family(ground, tuple(masks))

@@ -19,9 +19,9 @@ from .families import (
     crosses,
     crossing_row,
     elements_of,
+    mask_of,
     membership_masks,
     region_tables,
-    superset_rows,
 )
 from .symmetry import set_orbits
 
@@ -170,7 +170,16 @@ def dilworth_partition(fam: Family) -> ChainDecomposition:
     """
     sets = fam.sets
     n = len(sets)
-    succ = superset_rows(fam)
+    # succ[i]: the strict supersets of sets[i], the AND of the membership
+    # masks of its elements over every other member.
+    masks = membership_masks(sets, fam.ground.n)
+    full = (1 << n) - 1
+    succ = []
+    for i, s in enumerate(sets):
+        row = full ^ 1 << i
+        for e in elements_of(s):
+            row &= masks[e]
+        succ.append(row)
     match_right = _max_bipartite_matching(n, succ)
     match_left = [-1] * n
     for v, u in enumerate(match_right):
@@ -194,7 +203,7 @@ def dilworth_partition(fam: Family) -> ChainDecomposition:
     # A reached matched left vertex w entered through its own matched right
     # vertex, already seen, so masking out seen_right keeps paths alternating.
     stack = [u for u in range(n) if match_left[u] == -1]
-    seen_left = sum(1 << u for u in stack)
+    seen_left = mask_of(stack)
     seen_right = 0
     while stack:
         m = succ[stack.pop()] & ~seen_right

@@ -99,9 +99,6 @@ class Family:
     def __contains__(self, mask):
         return mask in set(self.sets)
 
-    def index(self, mask: int) -> int:
-        return self.sets.index(mask)
-
 
 class PairRelation(enum.Enum):
     """Exhaustive, mutually exclusive taxonomy of an unordered set pair."""
@@ -221,32 +218,6 @@ def crossing_row(a: int, tables, mode: str) -> int:
     if mode == "weak":
         return row
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def superset_rows(fam: Family) -> list[int]:
-    """rows[i] is the index mask of the strict supersets of fam.sets[i].
-
-    rows[i] is the AND of the membership masks of the elements of sets[i].
-    Strict supersets are larger, so they come later in canonical order:
-    walking the family backwards, masks indexes sets[i + 1:] when row i is
-    taken, and i joins it afterwards.
-    """
-    sets = fam.sets
-    masks = [0] * fam.ground.n
-    rows = [0] * len(sets)
-    later = 0
-    for i in range(len(sets) - 1, -1, -1):
-        row = later
-        bit = 1 << i
-        s = sets[i]
-        while s:
-            e = s.bit_length() - 1
-            row &= masks[e]
-            masks[e] |= bit
-            s ^= 1 << e
-        rows[i] = row
-        later |= bit
-    return rows
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from math import comb
 from . import kernel
 from .constructions import gen_cyclic_intervals
 from .crossing import crossing_graph, find_pairwise_crossing_witness
-from .families import Family, GroundSet, elements_of
+from .families import Family, GroundSet, elements_of, mask_of
 
 MAX_UNIVERSE = 4096
 
@@ -151,10 +151,7 @@ def brute_force_max(universe: Family, k: int, mode: str) -> int:
     nverts = len(universe)
     for size in range(nverts, -1, -1):
         for combo in combinations(range(nverts), size):
-            m = 0
-            for v in combo:
-                m |= 1 << v
-            if kernel.find_k_clique_in(adj, m, k) is None:
+            if kernel.find_k_clique_in(adj, mask_of(combo), k) is None:
                 return size
     return 0
 

@@ -407,20 +407,15 @@ def _assemble_root(cc, ordering, trees, i, z_i, tops, branching):
 
     subtrees: dict[int, TreeNode] = {}
     for x, j in rep.items():
-        sub = trees[j]
-        root = sub.root
-        if root.children:
-            keep = [
-                idx
-                for idx, child in enumerate(root.children)
-                if not ordering.before(x, child.edge_label)
-            ]
-            if not keep:
+        root = trees[j].root
+        pruned = root.children
+        if pruned:
+            pruned = tuple(c for c in pruned if not ordering.before(x, c.edge_label))
+            if not pruned:
                 return f"subtree for label {x} loses all children when pruned"
-            sub = prune_root_children(sub, keep)
-            if sub.root.children[0].edge_label != x:
+            if pruned[0].edge_label != x:
                 return f"subtree for label {x} cannot be anchored on its label"
-        subtrees[x] = TreeNode(sub.root.chain, x, sub.root.children)
+        subtrees[x] = TreeNode(root.chain, x, pruned)
 
     # The S-sets of distinct labels differ: they are members of disjoint
     # chains, or of one chain below different labels.

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from crossfree.chains import (
 )
 from crossfree.constructions import gen_laminar_max, gen_random_cross_free
 from crossfree.crossing import find_pairwise_crossing_witness
-from crossfree.families import Family, GroundSet, mask_of
+from crossfree.families import Family, GroundSet, mask_of, serialize_family
 
 
 def test_weak_reduce_all_subsets_n3():
@@ -45,6 +46,18 @@ def test_weak_reduce_rejects_non_cross_free_input():
     with pytest.raises(NotCrossFreeError) as info:
         weak_reduce(fam, 2)
     assert len(info.value.witness.sets) == 2
+
+
+@pytest.mark.parametrize("seed, size, digest", [
+    (0, 28, "47b7045dfc08ddf6"),
+    (1, 25, "e63c6683f9a5ddf5"),
+    (2, 28, "f974286e7ec87bab"),
+])
+def test_weak_reduce_pinned_outputs(seed, size, digest):
+    # Pins the chosen element x and its tie-break, not just the size bound.
+    reduced = weak_reduce(gen_random_cross_free(10, 3, "strict", seed), 3)
+    assert len(reduced) == size
+    assert hashlib.sha256(serialize_family(reduced).encode()).hexdigest()[:16] == digest
 
 
 def test_weak_reduce_half_size_guarantee():

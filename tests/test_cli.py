@@ -671,6 +671,15 @@ def test_table_malformed_range_is_usage_error(capsys, option, text):
     assert f"bad range {text!r}: expected an integer or lo..hi" in err
 
 
+def test_table_huge_range_is_usage_error(capsys):
+    # The range stays lazy, so the first infeasible n ends the command
+    # instead of a list of 10^15 values.
+    code, out, err = run(capsys, "table", "--n", "1..1000000000000000", "--k", "2")
+    assert out == ""
+    assert_usage_error(code, err)
+    assert err == "error: all-subsets universe is limited to n <= 5\n"
+
+
 @pytest.mark.parametrize("n", ["21", "64"])
 def test_gen_random_large_n_is_usage_error(capsys, n):
     # Rejected before the 2^n candidate list is allocated.

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from crossfree.constructions import (
-    CyclicInterval,
     gen_cyclic_intervals,
     gen_laminar_max,
     gen_random_cross_free,
@@ -21,16 +20,19 @@ from crossfree.search import brute_force_max
 
 
 def test_cyclic_interval_masks():
-    assert CyclicInterval(1, 2).mask(4) == mask_of([1, 2])
-    assert CyclicInterval(4, 2).mask(5) == mask_of([4, 0])
-    assert CyclicInterval(0, 0).mask(4) == 0
-    assert CyclicInterval(0, 4).mask(4) == 0b1111
-
-
-def test_cyclic_interval_canonical():
-    assert CyclicInterval.canonical(3, 0, 4) == CyclicInterval(0, 0)
-    assert CyclicInterval.canonical(3, 4, 4) == CyclicInterval(0, 4)
-    assert CyclicInterval.canonical(5, 2, 4) == CyclicInterval(1, 2)
+    # Every generated interval against a plain wrap-around oracle.
+    for n in range(1, 13):
+        for include_trivial in (False, True):
+            expected = {
+                sum(1 << e for e in {(start + off) % n for off in range(length)})
+                for start in range(n)
+                for length in range(1, n)
+            }
+            if include_trivial:
+                expected |= {0, (1 << n) - 1}
+            fam = gen_cyclic_intervals(n, include_trivial)
+            assert fam.sets == tuple(sorted(expected, key=lambda m: (m.bit_count(), m)))
+            assert len(fam) == n * (n - 1) + (2 if include_trivial else 0)
 
 
 def test_laminar_examples():

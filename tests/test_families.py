@@ -49,7 +49,7 @@ def test_family_canonical_order_and_dedup():
     assert fam.sets == (0, 0b1, 0b110, 0b111)
     assert len(fam) == 4
     assert 0b110 in fam
-    assert fam.index(0b111) == 3
+    assert fam.sets.index(0b111) == 3
 
 
 def test_family_rejects_out_of_range_mask():
