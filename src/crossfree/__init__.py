@@ -46,7 +46,6 @@ from .families import (
     elements_of,
     family_predicates,
     format_set,
-    is_weakly_crossing,
     mask_of,
     parse_family,
     serialize_family,

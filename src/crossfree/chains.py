@@ -53,15 +53,13 @@ def weak_reduce(fam: Family, k: int) -> Family:
     n = fam.ground.n
     total = len(fam)
     masks = membership_masks(fam.sets, n)
-    best_x = 0
-    best_key = (-1, -1)
-    for x in range(n):
+
+    def retained(x):
         avoid = total - masks[x].bit_count()
-        value = avoid if 2 * avoid >= total else total - avoid
         # on equal size, prefer the branch that keeps members unchanged
-        if (value, avoid) > best_key:
-            best_key = (value, avoid)
-            best_x = x
+        return max(avoid, total - avoid), avoid
+
+    best_x = max(range(n), key=retained)
     avoid = tuple(m for m in fam.sets if not m >> best_x & 1)
     if 2 * len(avoid) >= total:
         reduced = Family(fam.ground, avoid)
@@ -144,10 +142,6 @@ class Chain:
     @property
     def h(self) -> int:
         return len(self.added)
-
-    @property
-    def top(self) -> int:
-        return self.members[-1]
 
     def size_range(self) -> tuple[int, int]:
         lo = self.base.bit_count()

@@ -36,9 +36,6 @@ class CrossingGraph:
     mode: str
     adj: tuple[int, ...]
 
-    def __len__(self):
-        return len(self.adj)
-
     @property
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
@@ -73,9 +70,6 @@ class ChainDecomposition:
             for a, b in zip(chain, chain[1:]):
                 if not (a & ~b == 0 and a != b):
                     raise ValueError("chain not strictly increasing by inclusion")
-
-    def __len__(self):
-        return len(self.chains)
 
 
 def crossing_graph(fam: Family, mode: str) -> CrossingGraph:

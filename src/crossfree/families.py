@@ -132,21 +132,13 @@ def classify_pair(a: int, b: int, ground: GroundSet) -> PairRelation:
     return PairRelation.CROSSING if outside else PairRelation.WEAK_ONLY
 
 
-_WEAK_KINDS = (PairRelation.CROSSING, PairRelation.WEAK_ONLY)
-
-
-def is_weakly_crossing(a: int, b: int, ground: GroundSet) -> bool:
-    """True iff a&b, a\\b, b\\a are all nonempty."""
-    return classify_pair(a, b, ground) in _WEAK_KINDS
-
-
 def crosses(a: int, b: int, ground: GroundSet, mode: str) -> bool:
     """Pair predicate under the given mode ('strict' or 'weak')."""
     rel = classify_pair(a, b, ground)
     if mode == "strict":
         return rel is PairRelation.CROSSING
     if mode == "weak":
-        return rel in _WEAK_KINDS
+        return rel in (PairRelation.CROSSING, PairRelation.WEAK_ONLY)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -227,15 +219,6 @@ class FamilyPredicates:
     is_antichain: bool
     is_intersecting: bool
     is_laminar: bool
-
-    def as_dict(self):
-        return {
-            "is_chain": self.is_chain,
-            "is_continuous_chain": self.is_continuous_chain,
-            "is_antichain": self.is_antichain,
-            "is_intersecting": self.is_intersecting,
-            "is_laminar": self.is_laminar,
-        }
 
 
 def family_predicates(fam: Family) -> FamilyPredicates:

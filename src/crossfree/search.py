@@ -21,7 +21,7 @@ interval universe exclude both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from math import comb
 
 from . import kernel
@@ -197,7 +197,11 @@ def _universe_family(universe: str, n: int) -> Family:
 
 
 def bound_table(n_values, k_values, universes, mode: str) -> list[BoundRow]:
-    """Exact values next to the closed-form bounds, one row per (n, k, universe)."""
+    """Exact values next to the closed-form bounds, one row per (n, k, universe).
+
+    A repeated universe counts once.
+    """
+    universes = tuple(dict.fromkeys(universes))
     rows = []
     for n in n_values:
         for k in k_values:
@@ -216,21 +220,10 @@ def bound_table(n_values, k_values, universes, mode: str) -> list[BoundRow]:
 
 
 def format_table_text(rows) -> str:
-    headers = ("n", "k", "universe", "mode", "exact", "formula", "formula_name", "tight")
-    grid = [headers] + [
-        (
-            str(r.n),
-            str(r.k),
-            r.universe,
-            r.mode,
-            str(r.exact),
-            "-" if r.formula is None else str(r.formula),
-            r.formula_name,
-            r.tight,
-        )
-        for r in rows
+    grid = [tuple(f.name for f in fields(BoundRow))] + [
+        tuple("-" if v is None else str(v) for v in astuple(r)) for r in rows
     ]
-    widths = [max(len(row[i]) for row in grid) for i in range(len(headers))]
+    widths = [max(len(row[i]) for row in grid) for i in range(len(grid[0]))]
     lines = [
         "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
         for row in grid
@@ -244,9 +237,6 @@ def format_table_csv(rows) -> str:
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "k", "universe", "mode", "exact", "formula", "formula_name", "tight"])
-    for r in rows:
-        writer.writerow(
-            [r.n, r.k, r.universe, r.mode, r.exact, "" if r.formula is None else r.formula, r.formula_name, r.tight]
-        )
+    writer.writerow(f.name for f in fields(BoundRow))
+    writer.writerows(("" if v is None else v for v in astuple(r)) for r in rows)
     return buf.getvalue()

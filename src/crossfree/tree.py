@@ -80,10 +80,6 @@ class TreeReport:
     def ok(self) -> bool:
         return not self.malformed and all(not v for v in self.violations.values())
 
-    @property
-    def advisory_ok(self) -> bool:
-        return all(not v for v in self.advisory.values())
-
     def as_dict(self):
         return {
             "malformed": list(self.malformed),
@@ -336,14 +332,13 @@ def build_tree(
     trees: dict[int, CrossSupportTree] = {
         i: CrossSupportTree(TreeNode(i, None)) for i in selected
     }
-    survivors = list(selected)
     # Every root is "ok" until a level excludes it or fails to assemble it.
     per_root: dict = dict.fromkeys(selected, "ok")
 
     for level in range(1, height + 1):
         z_sets: dict[int, tuple[int, ...]] = {}
-        for i in survivors:
-            root = trees[i].root
+        for i, tree in trees.items():
+            root = tree.root
             if root.children:
                 y = tuple(c.edge_label for c in root.children)
             else:
@@ -353,8 +348,8 @@ def build_tree(
             y_sorted = sorted(y, key=ordering.position)
             z_sets[i] = tuple(y_sorted[len(y_sorted) // 2 :])
         pools: dict[int, list[int]] = {}
-        for i in survivors:
-            for x in z_sets[i]:
+        for i, z_i in z_sets.items():
+            for x in z_i:
                 pools.setdefault(x, []).append(i)
         # Chains share no member, so the members below x are distinct and
         # rank the pool without ties.
@@ -363,19 +358,18 @@ def build_tree(
             tops[x] = tuple(sorted(pool, key=lambda i: canonical_key(cc.chains[i].below[x]))[-h:])
 
         new_trees: dict[int, CrossSupportTree] = {}
-        for i in survivors:
-            top_at = [x for x in z_sets[i] if i in tops[x]]
+        for i, z_i in z_sets.items():
+            top_at = [x for x in z_i if i in tops[x]]
             if top_at:
                 per_root[i] = f"excluded at level {level}: a top chain below label {top_at[0]}"
                 continue
-            result = _assemble_root(cc, ordering, trees, i, z_sets[i], tops, branching)
+            result = _assemble_root(cc, ordering, trees, i, z_i, tops, branching)
             if isinstance(result, CrossSupportTree):
                 new_trees[i] = result
             else:
                 per_root[i] = result
         trees = new_trees
-        survivors = sorted(new_trees)
-        if not survivors:
+        if not trees:
             break
 
     # Trees of height >= 1 passed validation in _assemble_root; level-0
@@ -405,16 +399,15 @@ def _assemble_root(cc, ordering, trees, i, z_i, tops, branching):
     if len(rep) < branching:
         return f"only {len(rep)} matched subtrees < branching {branching}"
 
+    # Pruning keeps the children whose labels are not after x in the
+    # ordering. At level 1 the subtrees are single nodes. Later x is in
+    # z_sets[j], which holds labels of j's root children, and their
+    # positions fall from left to right, so the kept children are a suffix
+    # that starts with x's own child.
     subtrees: dict[int, TreeNode] = {}
     for x, j in rep.items():
         root = trees[j].root
-        pruned = root.children
-        if pruned:
-            pruned = tuple(c for c in pruned if not ordering.before(x, c.edge_label))
-            if not pruned:
-                return f"subtree for label {x} loses all children when pruned"
-            if pruned[0].edge_label != x:
-                return f"subtree for label {x} cannot be anchored on its label"
+        pruned = tuple(c for c in root.children if not ordering.before(x, c.edge_label))
         subtrees[x] = TreeNode(root.chain, x, pruned)
 
     # The S-sets of distinct labels differ: they are members of disjoint

@@ -1,0 +1,43 @@
+"""Slow, independent helpers that several test modules share.
+
+Each helper has one home here, so every module checks against the same
+oracle and builds its random inputs the same way.
+"""
+
+from itertools import combinations
+
+from crossfree.families import Family, GroundSet, elements_of, mask_of
+
+
+def all_subsets(n):
+    """The family of all 2^n subsets of {0, ..., n-1}."""
+    return Family(GroundSet(n), tuple(range(1 << n)))
+
+
+def relabel(fam, rng):
+    """``fam`` under the ground-set permutation ``rng.sample(range(n), n)``."""
+    n = fam.ground.n
+    perm = rng.sample(range(n), n)
+    return Family(fam.ground, tuple(mask_of(perm[e] for e in elements_of(m)) for m in fam.sets))
+
+
+def random_graph(rng, n, p):
+    """Adjacency masks of a random graph: each edge i < j, drawn in row
+    order, is present when ``rng.random() < p``."""
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+def max_antichain_size(sets):
+    """The size of a largest antichain under inclusion, by trying every
+    subfamily from the largest size down."""
+    for size in range(len(sets), 0, -1):
+        for combo in combinations(sets, size):
+            if all(a & ~b and b & ~a for a, b in combinations(combo, 2)):
+                return size
+    return 0

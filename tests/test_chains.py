@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,13 @@ def test_weak_reduce_singleton_and_trivial_pair():
     assert weak_reduce(fam, 2).sets == fam.sets
     fam = Family(g, (0, 0b111))
     assert len(weak_reduce(fam, 2)) == 1
+
+
+def test_weak_reduce_keeps_complements_when_most_members_hold_x():
+    # The four 3-sets and the full set of n=4: only 1,2,3 avoids x=0, so
+    # the complements of the four members holding 0 are kept.
+    fam = Family(GroundSet(4), tuple(mask_of(c) for c in combinations(range(4), 3)) + (0b1111,))
+    assert serialize_family(weak_reduce(fam, 2)) == "n 4\n-\n1\n2\n3\n"
 
 
 def test_weak_reduce_rejects_non_cross_free_input():
@@ -114,7 +122,7 @@ def test_chain_accessors():
     chain = Chain(mask_of([3, 4]), (0, 1))
     assert chain.h == 2
     assert chain.members == (mask_of([3, 4]), mask_of([0, 3, 4]), mask_of([0, 1, 3, 4]))
-    assert chain.top == mask_of([0, 1, 3, 4])
+    assert chain.members[-1] == mask_of([0, 1, 3, 4])
     assert chain.below == {0: mask_of([3, 4]), 1: mask_of([0, 3, 4])}
     assert chain.size_range() == (2, 4)
     with pytest.raises(KeyError):
@@ -137,7 +145,7 @@ def test_chain_matches_plain_scan(case):
     members = tuple(base | mask_of(added[:i]) for i in range(len(added) + 1))
     assert chain.members == members
     assert chain.support_mask == mask_of(added)
-    assert chain.top == base | mask_of(added)
+    assert chain.members[-1] == base | mask_of(added)
     for x in range(n):
         if x in added:
             below = max((m for m in members if not m >> x & 1), key=int.bit_count)
@@ -244,7 +252,7 @@ def test_extract_full_power_set_n12():
     fam = Family(GroundSet(12), tuple(range(1 << 12)))
     cc = extract_disjoint_chains(fam, 12)
     assert len(cc) == 1
-    assert (cc.chains[0].base, cc.chains[0].top) == (0, (1 << 12) - 1)
+    assert (cc.chains[0].base, cc.chains[0].members[-1]) == (0, (1 << 12) - 1)
 
 
 def test_ordering():

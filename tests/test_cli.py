@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from crossfree import crossing, search, symmetry
 from crossfree.cli import build_parser, main
 from crossfree.constructions import gen_cyclic_intervals
-from crossfree.families import Family, GroundSet, elements_of, serialize_family
+from crossfree.families import Family, GroundSet, serialize_family
+from oracles import relabel
 
 FIXTURES = Path(__file__).parent / "fixtures" / "crosstree"
 GOLDEN = Path(__file__).parent / "golden"
@@ -183,6 +184,13 @@ def test_check_json_reparses(capsys, tmp_path):
     assert code == 1 and doc["cross_free"] is False and doc["witness"] == ["0,1", "1,2"]
 
 
+def test_family_from_stdin(capsys, tmp_path, monkeypatch):
+    text = "n 4\n0,1\n1,2\n"
+    from_file = run(capsys, "check", "--k", "2", write_family(tmp_path, text))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(capsys, "check", "--k", "2", "-") == from_file
+
+
 def test_python_dash_m_runs_the_cli(capsys, tmp_path):
     bad = write_family(tmp_path, "n 4\n0,1\n1,2\n")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
@@ -208,9 +216,7 @@ def test_check_relabelled_strict_intervals_n24(capsys, tmp_path, monkeypatch):
     # Index order is bad for this relabelling: the plain kernel takes
     # seconds for k=12. Orbital fixing gives the same witness, and both
     # calls look for the group once.
-    base = gen_cyclic_intervals(24, False)
-    perm = random.Random(101).sample(range(24), 24)
-    fam = Family(base.ground, tuple(sum(1 << perm[e] for e in elements_of(m)) for m in base.sets))
+    fam = relabel(gen_cyclic_intervals(24, False), random.Random(101))
     path = write_family(tmp_path, serialize_family(fam))
     searched = []
 
@@ -230,6 +236,8 @@ def test_classify(capsys, tmp_path):
     fam = write_family(tmp_path, "n 4\n0,1\n1,2\n")
     code, out, _ = run(capsys, "classify", fam)
     assert code == 0 and out.strip().endswith("crossing")
+    code, out, _ = run(capsys, "classify", "--format", "json", fam)
+    assert code == 0 and out == '{"a": "0,1", "b": "1,2", "relation": "crossing"}\n'
     one = write_family(tmp_path, "n 4\n0,1\n", "one.txt")
     code, _, err = run(capsys, "classify", one)
     assert code == 2 and "exactly 2" in err
@@ -392,6 +400,37 @@ def test_tree_build(capsys, tmp_path):
     assert json.loads(out)["children"]
 
 
+T5_FAILURE = (
+    "assembled tree fails validation: {'malformed': [], 'violations': {'T1': [], 'T2': [],"
+    " 'T3': [], 'T4': [], 'T5': ['nodes (0,),(1,): S 0,1,3,4,5,6 not inside S 0,3,4,6']},"
+    " 'advisory': {'T6': [], 'T7': [], 'T8': []}, 'ok': False}"
+)
+
+
+# Each case builds from four chains over n=7 with --indices 0,1,2,3 and
+# height 1; roots 1-3 hold the top chains below label 2, so only root 0 is
+# assembled.
+@pytest.mark.parametrize("chains, ordering, branching, reason", [
+    pytest.param(("4; 1,0,2", "3,4; 0,1,2", "3,4,5; 1,0,2", "3,4,5,6; 0,2,1"), "0 4 3 6 2 5 1", "2",
+                 "only 1 chain-compatible subtrees < branching 2", id="chain-compatible"),
+    # The longest S-chain need not shrink left to right in label order (T5).
+    pytest.param(("3; 0,1,2", "3,4; 0,1,2", "3,4,6; 0,1,2", "3,4,5,6; 1,0,2"), "0 4 2 6 5 1 3", "1",
+                 T5_FAILURE, id="t5"),
+])
+def test_tree_build_failure_reasons(capsys, tmp_path, chains, ordering, branching, reason):
+    chains_path = write_family(tmp_path, "n 7\n" + "".join(f"chain {c}\n" for c in chains), "chains.txt")
+    ordering_path = write_family(tmp_path, ordering + "\n", "ord.txt")
+    code, out, err = run(
+        capsys, "tree", "build", "--chains", chains_path, "--ordering", ordering_path,
+        "--indices", "0,1,2,3", "--k", "2", "--height", "1", "--branching", branching,
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        f"no tree meets the branching target\nroot 0: {reason}\n"
+        + "".join(f"root {i}: excluded at level 1: a top chain below label 2\n" for i in (1, 2, 3))
+    )
+
+
 @pytest.mark.parametrize("indices", ["0,0,1", "0,1,1"])
 def test_tree_build_ignores_repeated_indices(capsys, tmp_path, indices):
     args = four_nested_chain_files(tmp_path)
@@ -406,6 +445,22 @@ def test_search_and_table(capsys, tmp_path):
     code, out, _ = run(capsys, "table", "--n", "3..4", "--k", "2", "--universe", "all", "--mode", "weak", "--format", "csv")
     assert code == 0
     assert out.splitlines()[1] == "3,2,all,weak,6,6,laminar 2n,yes"
+
+
+TABLE_N3_K2 = """\
+n  k  universe   mode    exact  formula  formula_name       tight
+3  2  all        strict  8      10       2-cross-free 4n-2  no
+3  2  intervals  strict  6      6        interval bound     yes
+"""
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_table_counts_repeated_universe_once(capsys, fmt):
+    args = ["table", "--n", "3", "--k", "2", "--format", fmt, "--universe"]
+    once = run(capsys, *args, "all,intervals")
+    assert run(capsys, *args, "all,all,intervals,all") == once
+    if fmt == "text":
+        assert once == (0, TABLE_N3_K2, "")
 
 
 @pytest.mark.parametrize("universe, k, mode, golden", [
@@ -496,6 +551,21 @@ def test_chains_check_counts_repeated_indices_once(capsys, indices):
     assert run(capsys, *args, "--indices", indices) == run(capsys, *args, "--indices", once)
 
 
+def test_chains_check_json(capsys):
+    code, out, err = run(
+        capsys, "chains", "check", "--k", "2", "--indices", "0,1", "--format", "json",
+        "--ordering", str(FIXTURES / "ordering.txt"), str(FIXTURES / "chains.txt"),
+    )
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "C1": {"passed": True, "violations": []},
+        "C2": {"passed": True, "violations": []},
+        "C3": {"passed": False, "violations": ["chains 0,1: member sizes interleave"]},
+        "C4": {"passed": False, "violations": ["chain 0: minimum member size 1 < 12",
+                                               "chain 1: minimum member size 2 < 12"]},
+    }
+
+
 @pytest.mark.parametrize(
     "field, value",
     [(f, v) for f in ("chain", "edge_label_from_parent") for v in ("2", 2.0, True)]
@@ -584,6 +654,7 @@ def test_tree_file_not_json_is_usage_error(capsys, tmp_path, command):
         ("n x\nchain 0; 1\n", 1),
         ("n 65\n", 1),
         ("n 4\nchain 0; 0\n", 2),
+        ("n 4\nchain 0 1\n", 2),
     ],
 )
 def test_chain_file_errors_name_the_line(capsys, tmp_path, text, lineno):
@@ -594,21 +665,35 @@ def test_chain_file_errors_name_the_line(capsys, tmp_path, text, lineno):
     assert f"at line {lineno}\n" in err
 
 
-@pytest.mark.parametrize("command", ["chains-select", "chains-check", "tree-build"])
-def test_header_only_chain_file_is_usage_error(capsys, tmp_path, command):
-    chains = write_family(tmp_path, "n 3\n", "chains.txt")
+def whole_chain_file_argv(tmp_path, command, chain_text):
+    """argv of ``command``, one of the three that need a chain file of at
+    least one chain, all of one h, over ``chain_text`` and the ordering 0 1 2."""
+    chains = write_family(tmp_path, chain_text, "chains.txt")
     ordering = write_family(tmp_path, "0 1 2\n", "ord.txt")
-    argv = {
+    return {
         "chains-select": ["chains", "select", "--k", "2", "--seed", "1", chains],
         "chains-check": ["chains", "check", "--k", "2", "--multiplier", "0", "--indices", "-",
                          "--ordering", ordering, chains],
         "tree-build": ["tree", "build", "--chains", chains, "--ordering", ordering, "--indices", "-",
                        "--k", "2", "--height", "1", "--branching", "1"],
     }[command]
-    code, out, err = run(capsys, *argv)
+
+
+@pytest.mark.parametrize("command", ["chains-select", "chains-check", "tree-build"])
+def test_header_only_chain_file_is_usage_error(capsys, tmp_path, command):
+    code, out, err = run(capsys, *whole_chain_file_argv(tmp_path, command, "n 3\n"))
     assert out == ""
     assert_usage_error(code, err)
     assert "no chains" in err
+
+
+@pytest.mark.parametrize("command", ["chains-select", "chains-check", "tree-build"])
+def test_mixed_h_chain_file_is_usage_error(capsys, tmp_path, command):
+    argv = whole_chain_file_argv(tmp_path, command, "n 3\nchain -; 0\nchain 1; 2,0\n")
+    code, out, err = run(capsys, *argv)
+    assert out == ""
+    assert_usage_error(code, err)
+    assert err == "error: chains do not all have the same size\n"
 
 
 @pytest.mark.parametrize("k", ["0", "1"])

@@ -1,4 +1,5 @@
 import random
+from dataclasses import asdict
 from itertools import combinations
 
 import pytest
@@ -16,7 +17,6 @@ from crossfree.families import (
     elements_of,
     family_predicates,
     format_set,
-    is_weakly_crossing,
     mask_of,
     membership_masks,
     parse_element,
@@ -159,7 +159,7 @@ def predicate_families(draw):
 @settings(deadline=None)
 @given(predicate_families())
 def test_family_predicates_match_pairwise_scan(fam):
-    assert family_predicates(fam).as_dict() == pairwise_predicates(fam)
+    assert asdict(family_predicates(fam)) == pairwise_predicates(fam)
 
 
 def test_family_predicates_examples():
@@ -184,8 +184,8 @@ def test_continuous_chain_needs_unit_steps():
 
 def test_is_weakly_crossing():
     g = GroundSet(3)
-    assert is_weakly_crossing(0b11, 0b110, g)
-    assert not is_weakly_crossing(0b1, 0b11, g)
+    assert crosses(0b11, 0b110, g, "weak")
+    assert not crosses(0b1, 0b11, g, "weak")
 
 
 def test_complement_closure():

@@ -8,18 +8,9 @@ from hypothesis import strategies as st
 from crossfree import kernel
 from crossfree.constructions import gen_cyclic_intervals, gen_laminar_max
 from crossfree.crossing import crossing_graph
-from crossfree.families import Family, GroundSet, elements_of
+from crossfree.families import Family, GroundSet
 from crossfree.symmetry import set_orbits
-
-
-def random_adj(rng, n, p):
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return adj
+from oracles import random_graph, relabel
 
 
 def test_python_kernel_basics():
@@ -59,7 +50,7 @@ def test_python_kernel_matches_brute_force():
     rng = random.Random(17)
     for _ in range(150):
         n = rng.randrange(0, 14)
-        adj = random_adj(rng, n, rng.random())
+        adj = random_graph(rng, n, rng.random())
         k = rng.randrange(1, 6)
         cand = rng.getrandbits(n) if n else 0
         assert kernel.find_k_clique_in(adj, cand, k) == brute_cliques(adj, cand, k)
@@ -99,7 +90,7 @@ def bound_queries(draw):
     (a random mask or a random subset of it) and a need of 3-8."""
     n = draw(st.integers(min_value=1, max_value=80))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
-    adj = random_adj(rng, n, rng.random())
+    adj = random_graph(rng, n, rng.random())
     for v in draw(st.lists(st.integers(0, n - 1), max_size=4)):
         adj[v] |= 1 << v
     mask = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
@@ -213,12 +204,6 @@ def test_entry_bound_refutes_multipartite_graph():
     assert kernel.find_k_clique(adj, parts) == tuple(range(parts))
 
 
-def relabelled(fam, rng):
-    n = fam.ground.n
-    perm = rng.sample(range(n), n)
-    return Family(fam.ground, tuple(sum(1 << perm[e] for e in elements_of(m)) for m in fam.sets))
-
-
 @st.composite
 def symmetric_queries(draw):
     """A family (random n <= 7, relabelled intervals n <= 8, all subsets or a
@@ -229,12 +214,12 @@ def symmetric_queries(draw):
         n = draw(st.integers(1, 7))
         fam = Family(GroundSet(n), tuple(draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40))))
     elif kind == "intervals":
-        fam = relabelled(gen_cyclic_intervals(draw(st.integers(3, 8)), draw(st.booleans())), rng)
+        fam = relabel(gen_cyclic_intervals(draw(st.integers(3, 8)), draw(st.booleans())), rng)
     elif kind == "all":
         n = draw(st.integers(1, 6))
         fam = Family(GroundSet(n), tuple(range(1 << n)))
     else:
-        fam = relabelled(gen_laminar_max(draw(st.integers(2, 8))), rng)
+        fam = relabel(gen_laminar_max(draw(st.integers(2, 8))), rng)
     return fam, draw(st.sampled_from(("strict", "weak"))), draw(st.integers(2, 5))
 
 

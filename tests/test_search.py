@@ -19,10 +19,7 @@ from crossfree.search import (
     format_table_text,
     max_cross_free,
 )
-
-
-def all_subsets(n):
-    return Family(GroundSet(n), tuple(range(1 << n)))
+from oracles import all_subsets
 
 
 def test_n3_strict_everything_fits():

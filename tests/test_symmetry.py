@@ -12,16 +12,7 @@ from crossfree.constructions import gen_cyclic_intervals, gen_laminar_max, gen_r
 from crossfree.families import Family, GroundSet, elements_of, serialize_family
 from crossfree.search import _universe_family, max_cross_free
 from crossfree.symmetry import generators, set_orbits
-
-
-def relabel(fam, seed):
-    n = fam.ground.n
-    perm = random.Random(seed).sample(range(n), n)
-    return Family(fam.ground, tuple(sum(1 << perm[e] for e in elements_of(m)) for m in fam.sets))
-
-
-def all_subsets(n):
-    return Family(GroundSet(n), tuple(range(1 << n)))
+from oracles import all_subsets, relabel
 
 
 def edges(n, pairs):
@@ -38,11 +29,11 @@ TRIANGLES_AND_HEXAGON = edges(
 
 FAMILIES = {
     "intervals24": gen_cyclic_intervals(24, False),
-    "intervals24-relabelled": relabel(gen_cyclic_intervals(24, False), 101),
-    "intervals9-trivial": relabel(gen_cyclic_intervals(9, True), 5),
+    "intervals24-relabelled": relabel(gen_cyclic_intervals(24, False), random.Random(101)),
+    "intervals9-trivial": relabel(gen_cyclic_intervals(9, True), random.Random(5)),
     "all5": all_subsets(5),
     "laminar8": gen_laminar_max(8),
-    "laminar7-relabelled": relabel(gen_laminar_max(7), 3),
+    "laminar7-relabelled": relabel(gen_laminar_max(7), random.Random(3)),
     "random12": gen_random_cross_free(12, 5, "strict", 3),
     "random8-weak": gen_random_cross_free(8, 3, "weak", 1),
     "triangles-and-hexagon": TRIANGLES_AND_HEXAGON,
@@ -73,7 +64,7 @@ def test_orbit_sizes_are_pinned(name):
 
 
 def test_intervals37_with_trivial_sets_have_38_orbits():
-    assert orbit_sizes(relabel(gen_cyclic_intervals(37, True), 7)) == [1, 1] + [37] * 36
+    assert orbit_sizes(relabel(gen_cyclic_intervals(37, True), random.Random(7))) == [1, 1] + [37] * 36
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -107,7 +98,7 @@ def test_orbits_partition_the_sets_by_size(name):
 def test_strict_intervals_n24_have_one_orbit_per_length(seed):
     fam = gen_cyclic_intervals(24, False)
     if seed is not None:
-        fam = relabel(fam, seed)
+        fam = relabel(fam, random.Random(seed))
     assert len(set(set_orbits(fam))) == 23
 
 
