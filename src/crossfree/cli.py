@@ -289,10 +289,19 @@ def cmd_search(args) -> int:
     return 0
 
 
+# The slowest table of this many rows, intervals n=8 weak at k=2..1001,
+# takes about 5 s. A larger table is refused before any row is computed.
+TABLE_MAX_ROWS = 1000
+
+
 def cmd_table(args) -> int:
-    rows = bound_table(
-        _parse_range(args.n), _parse_range(args.k), args.universe.split(","), args.mode
-    )
+    n_values, k_values = _parse_range(args.n), _parse_range(args.k)
+    universes = args.universe.split(",")
+    # len() of a range past 2^63 values raises OverflowError.
+    count = (n_values.stop - n_values.start) * (k_values.stop - k_values.start) * len(set(universes))
+    if count > TABLE_MAX_ROWS:
+        raise ValueError(f"table of {count} rows exceeds the limit of {TABLE_MAX_ROWS} rows")
+    rows = bound_table(n_values, k_values, universes, args.mode)
     if args.format == "csv":
         sys.stdout.write(format_table_csv(rows))
     else:

@@ -757,9 +757,37 @@ def test_table_malformed_range_is_usage_error(capsys, option, text):
 
 
 def test_table_huge_range_is_usage_error(capsys):
-    # The range stays lazy, so the first infeasible n ends the command
-    # instead of a list of 10^15 values.
+    # The rows are counted before any is computed, so a range of 10^15
+    # values ends the command at once.
     code, out, err = run(capsys, "table", "--n", "1..1000000000000000", "--k", "2")
+    assert out == ""
+    assert_usage_error(code, err)
+    assert err == "error: table of 1000000000000000 rows exceeds the limit of 1000 rows\n"
+
+
+@pytest.mark.parametrize("option, rows", [
+    (["--n", "3", "--k", "2..1000000000000000", "--universe", "intervals"], 999999999999999),
+    # len() of this range raises OverflowError.
+    (["--n", "3", "--k", "2..100000000000000000000", "--universe", "intervals"], 10**20 - 1),
+    (["--n", "1..2", "--k", "2..501", "--universe", "all,intervals"], 2000),
+    (["--n", "1..2", "--k", "2..502", "--universe", "all"], 1002),
+])
+def test_table_past_the_row_cap_is_usage_error(capsys, option, rows):
+    code, out, err = run(capsys, "table", *option)
+    assert out == ""
+    assert_usage_error(code, err)
+    assert err == f"error: table of {rows} rows exceeds the limit of 1000 rows\n"
+
+
+def test_table_at_the_row_cap_runs(capsys):
+    # A repeated universe counts once, so this is 2 x 500 x 1 rows.
+    code, out, _ = run(capsys, "table", "--n", "1..2", "--k", "2..501", "--universe", "all,all", "--format", "csv")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 1000
+
+
+def test_table_n_past_the_universe_limit_is_usage_error(capsys):
+    code, out, err = run(capsys, "table", "--n", "1..6", "--k", "2")
     assert out == ""
     assert_usage_error(code, err)
     assert err == "error: all-subsets universe is limited to n <= 5\n"

@@ -1,5 +1,5 @@
 import random
-from itertools import accumulate
+from itertools import accumulate, combinations
 from unittest import mock
 
 from hypothesis import given, settings
@@ -37,8 +37,6 @@ def test_lex_least_clique():
 
 
 def brute_cliques(adj, cand, k):
-    from itertools import combinations
-
     verts = [v for v in range(len(adj)) if cand >> v & 1]
     for combo in combinations(verts, k):
         if all(adj[a] >> b & 1 for a, b in combinations(combo, 2)):
@@ -55,6 +53,41 @@ def test_python_kernel_matches_brute_force():
         cand = rng.getrandbits(n) if n else 0
         assert kernel.find_k_clique_in(adj, cand, k) == brute_cliques(adj, cand, k)
         assert kernel.find_k_clique(adj, k) == brute_cliques(adj, (1 << n) - 1, k)
+
+
+def least_edge(adj, cand):
+    """The least pair (i, j), i < j, of adjacent vertices both in cand, or None."""
+    verts = [v for v in range(len(adj)) if cand >> v & 1]
+    return next(((a, b) for a, b in combinations(verts, 2) if adj[a] >> b & 1), None)
+
+
+@st.composite
+def edge_queries(draw):
+    """A random graph with random self-loops, and a candidate mask that is
+    empty, one vertex, all vertices or random."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(0, 14))
+    adj = random_graph(rng, n, draw(st.sampled_from((0.0, 0.05, 0.2, 0.5, 1.0))))
+    for v in range(n):
+        if rng.random() < 0.3:
+            adj[v] |= 1 << v
+    full = (1 << n) - 1
+    kind = draw(st.sampled_from(("empty", "one", "all", "random")))
+    if kind == "empty" or not n:
+        cand = 0
+    elif kind == "one":
+        cand = 1 << draw(st.integers(0, n - 1))
+    else:
+        cand = full if kind == "all" else draw(st.integers(0, full))
+    return adj, cand
+
+
+@settings(deadline=None, max_examples=400)
+@given(edge_queries())
+def test_k2_scan_returns_the_least_edge(query):
+    adj, cand = query
+    assert kernel.find_k_clique_in(adj, cand, 2) == least_edge(adj, cand)
+    assert kernel.find_k_clique(adj, 2) == least_edge(adj, (1 << len(adj)) - 1)
 
 
 def test_complete_graph_deeper_than_recursion_limit():

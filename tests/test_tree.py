@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossfree import crossing
+from crossfree import tree as tree_module
 from crossfree.chains import (
     Chain,
     ChainCollection,
@@ -278,6 +279,89 @@ def test_build_tree_runs_no_matching(monkeypatch):
     res = build_tree(cc, tuple(range(16)), ordering, 2, 2)
     assert tree_to_json(res.tree) == (GOLDEN / "tree_build_nested16.json").read_text()
     assert calls == []
+
+
+def test_build_tree_validates_only_the_returned_tree(monkeypatch):
+    calls = []
+    monkeypatch.setattr(tree_module, "validate_tree", lambda *args: calls.append(args) or validate_tree(*args))
+    cc, ordering = nested16()
+    res = build_tree(cc, tuple(range(16)), ordering, 2, 2)
+    assert tree_to_json(res.tree) == (GOLDEN / "tree_build_nested16.json").read_text()
+    assert [args[0] for args in calls] == [res.tree]
+
+
+def nested_prefix_input(rng):
+    """Chains over nested prefixes of one random filler order, each adding
+    the labels 0..h-1 in the natural or a random order, under a random
+    ordering, with a selection that repeats indices, height 1-3 and
+    branching 1-3."""
+    h, m = rng.randint(2, 6), rng.randint(2, 16)
+    filler = rng.randint(m, 30)
+    n = h + filler
+    prefix = rng.sample(range(h, n), filler)
+    natural = rng.random() < 0.5
+    chains = tuple(
+        Chain(
+            mask_of(prefix[:size]),
+            tuple(range(h)) if natural and rng.random() < 0.7 else tuple(rng.sample(range(h), h)),
+        )
+        for size in rng.sample(range(1, filler + 1), m)
+    )
+    ordering = Ordering(tuple(rng.sample(range(n), n)))
+    selected = [rng.randrange(m) for _ in range(rng.randint(1, 2 * m))]
+    return ChainCollection(GroundSet(n), chains), selected, ordering, rng.randint(1, 3), rng.randint(1, 3)
+
+
+def t5_cli_input():
+    """The input of test_cli.py::test_tree_build_failure_reasons[t5]."""
+    cc = parse_chain_collection(
+        "n 7\nchain 3; 0,1,2\nchain 3,4; 0,1,2\nchain 3,4,6; 0,1,2\nchain 3,4,5,6; 1,0,2\n"
+    )
+    return cc, (0, 1, 2, 3), parse_ordering("0 4 2 6 5 1 3", 7), 1, 1
+
+
+def test_assembly_check_agrees_with_validate_tree(monkeypatch):
+    # _assemble_root trusts _root_pairs_nest in place of validate_tree, so
+    # the two must agree on every assembly, the ones that fail T5 included.
+    check = tree_module._root_pairs_nest
+    seen = {"assembled": 0, "rejected": 0}
+
+    def checked(cc, root):
+        ok = check(cc, root)
+        assert ok == validate_tree(CrossSupportTree(root), cc, ordering).ok
+        seen["assembled"] += 1
+        seen["rejected"] += not ok
+        return ok
+
+    monkeypatch.setattr(tree_module, "_root_pairs_nest", checked)
+    inputs = [t5_cli_input()] + [nested_prefix_input(random.Random(seed)) for seed in range(5000)]
+    failed = 0
+    for cc, selected, ordering, height, branching in inputs:
+        res = build_tree(cc, selected, ordering, height, branching)
+        failed += any(r.startswith("assembled tree fails validation") for r in res.per_root.values())
+    assert seen["assembled"] >= 5000
+    assert seen["rejected"] >= 50 and failed >= 30
+
+
+def test_assembly_check_reaches_below_the_root_children():
+    # Chains 1-3 grow nested bases, and chain 3 adds element 12 to chain
+    # 2's. With chain 3 under child (1), depth 1 still nests, but depth 2
+    # leaves the S of node (0, 0).
+    bases = (range(3, 6), range(3, 9), range(3, 12), range(3, 13))
+    cc = ChainCollection(GroundSet(13), tuple(Chain(mask_of(b), (0, 1, 2)) for b in bases))
+    ordering = Ordering.natural(13)
+    for deep, ok in ((2, True), (3, False)):
+        root = TreeNode(0, None, (
+            TreeNode(1, 2, (TreeNode(2, 2), TreeNode(2, 0))),
+            TreeNode(1, 1, (TreeNode(deep, 1), TreeNode(deep, 0))),
+        ))
+        report = validate_tree(CrossSupportTree(root), cc, ordering)
+        assert tree_module._root_pairs_nest(cc, root) is report.ok is ok
+    assert [v.split(":")[0] for v in report.violations["T5"]] == [
+        "nodes (0, 0),(1, 0)",
+        "nodes (0, 0),(1, 1)",
+    ]
+    assert not any(report.violations[a] for a in ("T1", "T2", "T3", "T4"))
 
 
 @pytest.mark.parametrize("height", range(5))
