@@ -96,9 +96,6 @@ class Family:
     def __len__(self):
         return len(self.sets)
 
-    def __contains__(self, mask):
-        return mask in set(self.sets)
-
 
 class PairRelation(enum.Enum):
     """Exhaustive, mutually exclusive taxonomy of an unordered set pair."""

@@ -209,6 +209,8 @@ def bound_table(n_values, k_values, universes, mode: str) -> list[BoundRow]:
                 fam = _universe_family(universe, n)
                 result = max_cross_free(fam, k, mode)
                 formula, name = _formula_for(universe, mode, k, n)
+                if formula is not None and formula < 0:
+                    formula, name = None, "-"  # a negative closed form bounds nothing
                 if formula is None or result.size > formula:
                     tight = "N/A"
                 else:

@@ -280,13 +280,11 @@ def extract_k_crossing_from_tree(
     used_labels: set[int] = set()
     node = tree.root
     while not node.is_leaf:
-        chosen = None
-        for child in node.children[1:]:
-            if child.edge_label not in used_labels:
-                chosen = child
-                break
-        if chosen is None:
-            raise ExtractionError("no admissible child on greedy path")
+        # A child is always admissible. At depth 1 <= d <= k-1, d labels
+        # are used, one of them the node's own, which T3 gives to
+        # children[0] and T2 keeps off its distinct siblings; so at most
+        # d-1 of the at least k-1 labels in children[1:] are used.
+        chosen = next(c for c in node.children[1:] if c.edge_label not in used_labels)
         used_labels.add(chosen.edge_label)
         s_val = cc.chains[chosen.chain].below[chosen.edge_label]
         sets.append(s_val | 1 << chosen.edge_label)
@@ -332,16 +330,13 @@ def build_tree(
     if branching < 1:
         raise ValueError(f"branching must be >= 1, got {branching}")
     h = cc.uniform_h()
-    trees: dict[int, CrossSupportTree] = {
-        i: CrossSupportTree(TreeNode(i, None)) for i in selected
-    }
+    roots: dict[int, TreeNode] = {i: TreeNode(i, None) for i in selected}
     # Every root is "ok" until a level excludes it or fails to assemble it.
     per_root: dict = dict.fromkeys(selected, "ok")
 
     for level in range(1, height + 1):
         z_sets: dict[int, tuple[int, ...]] = {}
-        for i, tree in trees.items():
-            root = tree.root
+        for i, root in roots.items():
             if root.children:
                 y = tuple(c.edge_label for c in root.children)
             else:
@@ -360,34 +355,34 @@ def build_tree(
         for x, pool in pools.items():
             tops[x] = tuple(sorted(pool, key=lambda i: canonical_key(cc.chains[i].below[x]))[-h:])
 
-        new_trees: dict[int, CrossSupportTree] = {}
+        new_roots: dict[int, TreeNode] = {}
         for i, z_i in z_sets.items():
             top_at = [x for x in z_i if i in tops[x]]
             if top_at:
                 per_root[i] = f"excluded at level {level}: a top chain below label {top_at[0]}"
                 continue
-            result = _assemble_root(cc, ordering, trees, i, z_i, tops, branching)
-            if isinstance(result, CrossSupportTree):
-                new_trees[i] = result
+            result = _assemble_root(cc, ordering, roots, i, z_i, tops, branching)
+            if isinstance(result, TreeNode):
+                new_roots[i] = result
             else:
                 per_root[i] = result
-        trees = new_trees
-        if not trees:
+        roots = new_roots
+        if not roots:
             break
 
-    if not trees:
+    if not roots:
         return BuildResult(None, per_root)
     # _assemble_root checked only what each assembly adds; the returned tree
     # gets the full check once, which no input is known to fail.
-    tree = trees[min(trees)]
+    tree = CrossSupportTree(roots[min(roots)])
     report = validate_tree(tree, cc, ordering)
     if not report.ok:
         raise AssertionError(f"built tree fails validation: {report.as_dict()}")
     return BuildResult(tree, per_root)
 
 
-def _assemble_root(cc, ordering, trees, i, z_i, tops, branching):
-    """One root of one builder level; returns a tree or a failure reason.
+def _assemble_root(cc, ordering, roots, i, z_i, tops, branching):
+    """One root of one builder level; returns its node or a failure reason.
 
     At each depth it keeps the labels whose leftmost-vertex S-sets lie on a
     longest chain.
@@ -412,39 +407,46 @@ def _assemble_root(cc, ordering, trees, i, z_i, tops, branching):
     # ordering. At level 1 the subtrees are single nodes. Later x is in
     # z_sets[j], which holds labels of j's root children, and their
     # positions fall from left to right, so the kept children are a suffix
-    # that starts with x's own child.
+    # that starts with x's own child. rep's keys are already in child order.
     subtrees: dict[int, TreeNode] = {}
     for x, j in rep.items():
-        root = trees[j].root
+        root = roots[j]
         pruned = tuple(c for c in root.children if not ordering.before(x, c.edge_label))
         subtrees[x] = TreeNode(root.chain, x, pruned)
 
     # The S-sets of distinct labels differ: they are members of disjoint
-    # chains, or of one chain below different labels.
-    labels = sorted(subtrees, key=ordering.position, reverse=True)
-    depth = CrossSupportTree(subtrees[labels[0]]).height()
-    kept = list(labels)
-    for d in range(depth + 1):
-        s_of = {}
-        for x in kept:
-            node = subtrees[x]
-            for _ in range(d):
-                node = node.children[0]
-            s_of[x] = cc.chains[node.chain].below[x]
-        members = _longest_chain(s_of.values())
-        kept = [x for x in kept if s_of[x] in members]
+    # chains, or of one chain below different labels. The filter keeps the
+    # labels in child order.
+    paths = {x: _leftmost_sets(cc, node) for x, node in subtrees.items()}
+    kept = list(subtrees)
+    for d in range(len(paths[kept[0]])):
+        members = _longest_chain(paths[x][d] for x in kept)
+        kept = [x for x in kept if paths[x][d] in members]
     if len(kept) < branching:
         return f"only {len(kept)} chain-compatible subtrees < branching {branching}"
 
-    children = tuple(subtrees[x] for x in sorted(kept, key=ordering.position, reverse=True))
-    # Nodes below the children met the branching target one level down.
+    children = tuple(subtrees[x] for x in kept)
+    # Pruning leaves a child at least m//2 + 1 of its m children, which
+    # falls below the target for branching >= 3; the nodes below the
+    # children met it one level down.
     for idx, child in enumerate(children):
         if 0 < len(child.children) < branching:
             return f"node {(idx,)} has {len(child.children)} < branching {branching}"
-    tree = CrossSupportTree(TreeNode(i, None, children))
-    if not _root_pairs_nest(cc, tree.root):
-        return f"assembled tree fails validation: {validate_tree(tree, cc, ordering).as_dict()}"
-    return tree
+    root = TreeNode(i, None, children)
+    if not _root_pairs_nest(cc, root):
+        report = validate_tree(CrossSupportTree(root), cc, ordering)
+        return f"assembled tree fails validation: {report.as_dict()}"
+    return root
+
+
+def _leftmost_sets(cc, node: TreeNode) -> list[int]:
+    """The S-sets down a non-root node's leftmost path, one per depth; in a
+    subtree that meets T3, every node there carries the node's label."""
+    out = [cc.chains[node.chain].below[node.edge_label]]
+    while node.children:
+        node = node.children[0]
+        out.append(cc.chains[node.chain].below[node.edge_label])
+    return out
 
 
 def _root_pairs_nest(cc, root: TreeNode) -> bool:
@@ -466,18 +468,13 @@ def _root_pairs_nest(cc, root: TreeNode) -> bool:
       leftmost paths.
     Left are the pairs whose lowest common ancestor is the new root: at
     each depth, every S in a child's subtree lies inside the S of the
-    leftmost node of each earlier child at that depth.
+    leftmost node of each earlier child at that depth. By T5 inside a
+    child, every S at a depth lies inside that child's leftmost S there,
+    so it is enough, and necessary, that the children's leftmost S-sets
+    shrink from left to right at each depth.
     """
-    levels = [[child] for child in root.children]
-    while levels[0]:
-        inside = -1
-        for nodes in levels:
-            for node in nodes:
-                if cc.chains[node.chain].below[node.edge_label] & ~inside:
-                    return False
-            inside &= cc.chains[nodes[0].chain].below[nodes[0].edge_label]
-        levels = [[c for node in nodes for c in node.children] for nodes in levels]
-    return True
+    paths = [_leftmost_sets(cc, child) for child in root.children]
+    return all(b & ~a == 0 for depth in zip(*paths) for a, b in zip(depth, depth[1:]))
 
 
 def _longest_chain(sets) -> set[int]:

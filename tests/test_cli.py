@@ -362,6 +362,46 @@ def test_chains_workflow(capsys, tmp_path):
     assert code == 0 and "C1: pass" in out
 
 
+def test_chains_check_reports_c1_violation(capsys, tmp_path):
+    # Below element 0 the chains hold {1} and {2}, which are incomparable.
+    chains = write_family(tmp_path, "n 3\nchain 1; 0\nchain 2; 0\n", "chains.txt")
+    ordering = write_family(tmp_path, "0 1 2\n", "ord.txt")
+    code, out, _ = run(
+        capsys, "chains", "check", "--k", "2", "--multiplier", "0",
+        "--indices", "0,1", "--ordering", ordering, chains,
+    )
+    assert code == 1
+    assert "C1: FAIL\n  chains 0,1: incomparable members below element 0\n" in out
+
+
+def test_chain_line_without_prefix_is_usage_error(capsys, tmp_path):
+    chains = write_family(tmp_path, "n 3\nchain 1; 0\n2; 0\n", "chains.txt")
+    code, out, err = run(
+        capsys, "tree", "validate", "--chains", chains,
+        "--ordering", str(FIXTURES / "ordering.txt"), str(FIXTURES / "tree.json"),
+    )
+    assert out == ""
+    assert_usage_error(code, err)
+    assert err == "error: expected 'chain <base>; <added>', got '2; 0' at line 3\n"
+
+
+def test_file_without_header_is_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "check", "--k", "2", write_family(tmp_path, "# only a comment\n"))
+    assert out == ""
+    assert_usage_error(code, err)
+    assert err == "error: missing 'n <int>' header\n"
+
+
+def test_tree_root_with_edge_label_is_malformed(capsys, tmp_path):
+    doc = json.loads((FIXTURES / "tree.json").read_text())
+    doc["edge_label_from_parent"] = 0
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "tree", "validate", *TREE_INPUTS, str(tree))
+    assert code == 1
+    assert out.startswith("malformed:\n  root must not carry a parent edge label\n")
+
+
 def test_tree_validate_and_extract(capsys):
     args = ["--chains", str(FIXTURES / "chains.txt"), "--ordering", str(FIXTURES / "ordering.txt")]
     code, out, _ = run(capsys, "tree", "validate", *args, str(FIXTURES / "tree.json"))
@@ -461,6 +501,16 @@ def test_table_counts_repeated_universe_once(capsys, fmt):
     assert run(capsys, *args, "all,all,intervals,all") == once
     if fmt == "text":
         assert once == (0, TABLE_N3_K2, "")
+
+
+@pytest.mark.parametrize("n, k, universe, row", [
+    # 4(k-1)n - 2*C(2k-1, 2) = -6 and 8n-20 = -4 bound no family size.
+    ("3", "4", "intervals", "3  4  intervals  strict  6      -        -             N/A"),
+    ("2", "3", "all", "2  3  all       strict  4      -        -             N/A"),
+])
+def test_table_negative_closed_form_prints_dash(capsys, n, k, universe, row):
+    code, out, _ = run(capsys, "table", "--n", n, "--k", k, "--universe", universe)
+    assert code == 0 and out.splitlines()[1] == row
 
 
 @pytest.mark.parametrize("universe, k, mode, golden", [

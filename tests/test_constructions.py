@@ -60,7 +60,7 @@ def test_interval_counts():
     assert len(gen_cyclic_intervals(4, True)) == 14
     fam = gen_cyclic_intervals(5, False)
     assert len(fam) == 20
-    assert mask_of([4, 0]) in fam
+    assert mask_of([4, 0]) in fam.sets
 
 
 def test_intervals_rotation_invariant():
@@ -95,7 +95,7 @@ def test_random_cross_free_is_maximal():
     from crossfree.families import Family
 
     for extra in range(16):
-        if extra in fam:
+        if extra in fam.sets:
             continue
         bigger = Family(fam.ground, fam.sets + (extra,))
         assert find_pairwise_crossing_witness(bigger, 2, "strict") is not None

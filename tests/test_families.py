@@ -48,7 +48,7 @@ def test_family_canonical_order_and_dedup():
     fam = Family(g, (0b110, 0b1, 0b110, 0b111, 0))
     assert fam.sets == (0, 0b1, 0b110, 0b111)
     assert len(fam) == 4
-    assert 0b110 in fam
+    assert 0b110 in fam.sets
     assert fam.sets.index(0b111) == 3
 
 

@@ -1,8 +1,11 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every
+private top-level name is read somewhere else in the package.
 
-A stdlib-only scan over the syntax tree: a name bound by ``import`` or
-``from ... import`` must be read somewhere in the module. ``__init__.py``
-is skipped, since it imports names to re-export them.
+Stdlib-only scans over the syntax tree. A name bound by ``import`` or
+``from ... import`` must be read somewhere in the module; ``__init__.py``
+is skipped there, since it imports names to re-export them. A private
+function, class or constant must be read, or imported, by another
+top-level statement of ``src/``, so a helper kept only for tests fails.
 """
 
 import ast
@@ -48,3 +51,48 @@ def test_package_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each private top-level name of the module sources
+    that no other top-level statement reads or imports, in line order."""
+    defined, reads = [], []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            read = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    read.add(node.name)
+            reads.append(read)
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.append((module, name, len(reads) - 1))
+    return [
+        f"{module}:{name}"
+        for module, name, own in defined
+        if not any(name in read for at, read in enumerate(reads) if at != own)
+    ]
+
+
+def test_scan_finds_unread_private_names():
+    sources = {
+        "a.py": "_LIMIT = 3\ndef _walk(n):\n    return _walk(n - 1)\nclass _Kept: pass\n",
+        "b.py": "from .a import _Kept\ndef _used():\n    return 1\nx = _used()\n",
+    }
+    assert unread_private_names(sources) == ["a.py:_LIMIT", "a.py:_walk"]
+
+
+def test_no_private_name_unread_in_package():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []

@@ -72,7 +72,7 @@ def test_lexicographically_least_optimum():
     # spot-check by verifying the non-2-element sets are all present (they are
     # pairwise non-crossing and lex-precede most 2-sets in canonical order).
     non_pairs = [m for m in all_subsets(4).sets if m.bit_count() != 2]
-    assert all(m in result.best for m in non_pairs)
+    assert all(m in result.best.sets for m in non_pairs)
 
 
 def lex_least_optimum(fam, k, mode, top=None):

@@ -379,6 +379,21 @@ def test_build_tree_reports_every_selected_root(height):
         assert res.tree.root.chain == ok[0]
 
 
+def test_build_tree_rejects_a_pruned_child_below_branching():
+    # Chains 0-19 have nested bases 9..8+s and add 0..8 in order, except
+    # chain 9, which adds 6 first: no member below 4 or 5 strictly contains
+    # its own there, so level 1 gives it only the children at 8, 7 and 6.
+    # At level 2 root 0 matches chain 9 under label 7 (chain 10 took 8),
+    # and pruning its child at 8 leaves two children.
+    h, m = 9, 20
+    added = {9: (6, 0, 1, 2, 3, 4, 5, 7, 8)}
+    chains = tuple(Chain(mask_of(range(h, h + s)), added.get(s, tuple(range(h)))) for s in range(m))
+    cc = ChainCollection(GroundSet(h + m - 1), chains)
+    res = build_tree(cc, range(m), Ordering.natural(h + m - 1), 2, 3)
+    assert res.tree is None
+    assert res.per_root[0] == "node (1,) has 2 < branching 3"
+
+
 def is_chain(sets):
     """``sets`` in canonical order strictly increase under inclusion."""
     order = sorted(sets, key=canonical_key)
