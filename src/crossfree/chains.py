@@ -307,9 +307,7 @@ def select_conditioned_chains(
     # Stage 1 (C1): per-element random Dilworth chain.
     chosen_chain: dict[int, frozenset[int]] = {}
     for x in range(n):
-        tops = sorted(
-            {c.below[x] | 1 << x for c in cc.chains if c.support_mask >> x & 1}
-        )
+        tops = {c.below[x] | 1 << x for c in cc.chains if c.support_mask >> x & 1}
         if not tops:
             continue
         dec = dilworth_partition(Family(cc.ground, tuple(tops)))

@@ -32,8 +32,6 @@ MODES = ("strict", "weak")
 class CrossingGraph:
     """Symmetric adjacency over family indices; adj[i] is a vertex bitmask."""
 
-    family: Family
-    mode: str
     adj: tuple[int, ...]
 
     @property
@@ -80,7 +78,7 @@ def crossing_graph(fam: Family, mode: str) -> CrossingGraph:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     tables = region_tables(membership_masks(fam.sets, fam.ground.n))
-    return CrossingGraph(fam, mode, tuple(crossing_row(a, tables, mode) for a in fam.sets))
+    return CrossingGraph(tuple(crossing_row(a, tables, mode) for a in fam.sets))
 
 
 def find_pairwise_crossing_witness(fam: Family, k: int, mode: str):

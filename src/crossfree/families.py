@@ -4,15 +4,16 @@ A subset of the ground set {0, ..., n-1} is stored as a plain int bitmask
 (element e is in the set iff bit e is set), so a subset is one machine word
 and all region computations are bitwise ops.
 
-Pairwise relations over a whole family go through its membership index:
-one int per ground element whose bit i is set iff the element lies in the
-i-th member (the bitboard idea of San Segundo et al., Comput. Oper. Res.
-2011). The members that meet, leave, contain or miss a set are unions and
-intersections of index masks, read from OR/AND tables over each run of 4
-elements (the "Four Russians" trick of Arlazarov et al., 1970), so a set's
-row against the whole family costs n/4 lookups instead of one Python-level
-comparison per member. ``classify_pair`` and ``crosses`` stay the per-pair
-oracle.
+A set's crossing row against a whole family goes through the family's
+membership index: one int per ground element whose bit i is set iff the
+element lies in the i-th member (the bitboard idea of San Segundo et al.,
+Comput. Oper. Res. 2011). The members that meet, leave, contain or miss
+the set are unions and intersections of index masks, read from OR/AND
+tables over each run of 4 elements (the "Four Russians" trick of Arlazarov
+et al., 1970), so the row costs n/4 lookups instead of one Python-level
+comparison per member. ``crossing_row`` is the index's one reader.
+``classify_pair`` and ``crosses`` stay the per-pair oracle, and
+``family_predicates`` reads ``classify_pair`` one pair at a time.
 """
 
 from __future__ import annotations
@@ -171,15 +172,16 @@ def region_tables(masks) -> list[tuple[list[int], list[int]]]:
     return tables
 
 
-def set_regions(a: int, tables) -> tuple[int, int, int, int]:
-    """Index masks (inter, beyond, within, outside) of set a against an index.
+def crossing_row(a: int, tables, mode: str) -> int:
+    """Index mask of the members that cross set a under the given mode.
 
-    Over the members b indexed by ``region_tables(masks)``: inter holds
+    Over the members b indexed by ``region_tables(masks)``, inter holds
     those with a&b nonempty, beyond those with b\\a nonempty, within those
-    containing a, and outside those with some element outside a|b. A run of
+    containing a, and ~cover those with some element outside a|b. A run of
     4 elements costs one lookup for its elements in a (v) and one for the
-    rest (15 ^ v). within is -1 (every member) when a is empty, and outside
-    may be negative; callers mask.
+    rest (15 ^ v). The row is inter & beyond & ~within (plus & ~cover in
+    strict mode); inter bounds it to the indexed members, and a member
+    equal to a is never in beyond, so it is never in its own row.
     """
     inter = beyond = 0
     within = cover = -1
@@ -190,20 +192,9 @@ def set_regions(a: int, tables) -> tuple[int, int, int, int]:
         within &= ands[v]
         beyond |= ors[15 ^ v]
         cover &= ands[15 ^ v]
-    return inter, beyond, within, ~cover
-
-
-def crossing_row(a: int, tables, mode: str) -> int:
-    """Index mask of the members that cross set a under the given mode.
-
-    The row is inter & beyond & ~within (plus & outside in strict mode) of
-    ``set_regions``; inter bounds it to the indexed members, and a member
-    equal to a is never in beyond, so it is never in its own row.
-    """
-    inter, beyond, within, outside = set_regions(a, tables)
     row = inter & beyond & ~within
     if mode == "strict":
-        return row & outside
+        return row & ~cover
     if mode == "weak":
         return row
     raise ValueError(f"unknown mode {mode!r}")
@@ -219,35 +210,26 @@ class FamilyPredicates:
 
 
 def family_predicates(fam: Family) -> FamilyPredicates:
-    """Chain / antichain / intersecting / laminar flags for a family."""
-    sets = fam.sets
-    full = (1 << len(sets)) - 1
-    tables = region_tables(membership_masks(sets, fam.ground.n))
-    is_chain = True
-    is_antichain = True
-    is_intersecting = True
-    is_laminar = True
-    for i, a in enumerate(sets):
-        inter, beyond, within, _ = set_regions(a, tables)
-        # Members comparable to a: supersets (within) and subsets (~beyond),
-        # a itself included.
-        comparable = (within | ~beyond) & full
-        if comparable != full:
-            is_chain = False
-        if comparable != 1 << i:
-            is_antichain = False
-        if inter != full:
-            is_intersecting = False
-        if inter & beyond & ~within:  # a's weak crossing row
-            is_laminar = False
-    is_continuous = is_chain
-    if is_chain:
-        # Canonical order sorts a chain by cardinality already.
-        for i in range(len(sets) - 1):
-            if sets[i + 1].bit_count() != sets[i].bit_count() + 1:
-                is_continuous = False
-                break
-    return FamilyPredicates(is_chain, is_continuous, is_antichain, is_intersecting, is_laminar)
+    """Chain / antichain / intersecting / laminar flags for a family.
+
+    By definition, from the ``classify_pair`` relation of each pair of
+    members: laminar means every pair is nested or disjoint, and
+    intersecting also needs every member nonempty, as a member must meet
+    itself.
+    """
+    sets, g = fam.sets, fam.ground
+    rels = {classify_pair(a, b, g) for i, a in enumerate(sets) for b in sets[i + 1 :]}
+    comparable, disjoint = PairRelation.COMPARABLE, PairRelation.DISJOINT
+    is_chain = rels <= {comparable}
+    # Canonical order sorts a chain by cardinality already.
+    is_continuous = is_chain and all(b.bit_count() == a.bit_count() + 1 for a, b in zip(sets, sets[1:]))
+    return FamilyPredicates(
+        is_chain,
+        is_continuous,
+        comparable not in rels,
+        all(sets) and disjoint not in rels,
+        rels <= {comparable, disjoint},
+    )
 
 
 def complement_closure(fam: Family) -> Family:

@@ -60,7 +60,9 @@ def _search(adj, live: int, k: int, orbits=None):
     v whose row meets the live vertices after it, with the lowest such
     neighbor, is the edge the DFS would return. v leaves the live set
     before its row is read, so a self-loop never counts. With orbits, k=2
-    takes the spine, where an orbit fetch can still happen.
+    takes the spine, but a k=2 root is refuted in one node, so the work
+    spent stays at most len(adj) and, for ``_FIX_AFTER`` >= 1, no orbit
+    fetch happens.
 
     The color bound on the whole live set runs once, before the spine, so
     a graph with fewer than k colors ends at once. The outer loop is the

@@ -387,14 +387,14 @@ def _assemble_root(cc, ordering, roots, i, z_i, tops, branching):
     At each depth it keeps the labels whose leftmost-vertex S-sets lie on a
     longest chain.
     """
-    # Distinct representatives: process labels left to right (reverse
-    # ordering) and take the candidate with the largest member below x,
-    # the last eligible entry of tops[x]. i itself is in no tops[x] for x
-    # in z_i, or it would have been excluded.
+    # Distinct representatives: process labels left to right (z_i ascends
+    # in the ordering, so in reverse) and take the candidate with the
+    # largest member below x, the last eligible entry of tops[x]. i itself
+    # is in no tops[x] for x in z_i, or it would have been excluded.
     below_i = cc.chains[i].below
     taken: set[int] = set()
     rep: dict[int, int] = {}
-    for x in sorted(z_i, key=ordering.position, reverse=True):
+    for x in reversed(z_i):
         for j in reversed(tops[x]):
             if j not in taken and _strict_subset(below_i[x], cc.chains[j].below[x]):
                 rep[x] = j

@@ -402,6 +402,16 @@ def test_tree_root_with_edge_label_is_malformed(capsys, tmp_path):
     assert out.startswith("malformed:\n  root must not carry a parent edge label\n")
 
 
+def test_tree_child_without_edge_label_is_malformed(capsys, tmp_path):
+    doc = json.loads((FIXTURES / "tree.json").read_text())
+    doc["children"][0]["edge_label_from_parent"] = None
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "tree", "validate", *TREE_INPUTS, str(tree))
+    assert code == 1
+    assert out.startswith("malformed:\n  node (0,): missing parent edge label\n")
+
+
 def test_tree_validate_and_extract(capsys):
     args = ["--chains", str(FIXTURES / "chains.txt"), "--ordering", str(FIXTURES / "ordering.txt")]
     code, out, _ = run(capsys, "tree", "validate", *args, str(FIXTURES / "tree.json"))

@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,10 @@ from crossfree.families import (
     PairRelation,
     classify_pair,
     crosses,
+    crossing_row,
     mask_of,
+    membership_masks,
+    region_tables,
 )
 from crossfree.kernel import find_k_clique_in
 from oracles import max_antichain_size, random_graph
@@ -36,13 +40,27 @@ def two_sets_n4():
 
 def test_crossing_graph_octahedron():
     # Every 2-set over n=4 crosses exactly the four 2-sets sharing one element.
-    graph = crossing_graph(two_sets_n4(), "strict")
+    fam = two_sets_n4()
+    graph = crossing_graph(fam, "strict")
     assert all(m.bit_count() == 4 for m in graph.adj)
     assert graph.edge_count == 12
-    for i, a in enumerate(graph.family.sets):
-        for j, b in enumerate(graph.family.sets):
+    for i, a in enumerate(fam.sets):
+        for j, b in enumerate(fam.sets):
             expect = i != j and (a & b).bit_count() == 1
             assert bool(graph.adj[i] >> j & 1) == expect
+
+
+def test_unknown_mode_raises():
+    fam = two_sets_n4()
+    tables = region_tables(membership_masks(fam.sets, 4))
+    for call in (
+        lambda: crosses(0b11, 0b110, fam.ground, "loose"),
+        lambda: crossing_row(0b11, tables, "loose"),
+        # An empty family has no rows, so only crossing_graph's check raises.
+        lambda: crossing_graph(Family(fam.ground, ()), "loose"),
+    ):
+        with pytest.raises(ValueError, match="unknown mode 'loose'"):
+            call()
 
 
 def test_crossing_graph_edgeless_n3():

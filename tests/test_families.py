@@ -14,6 +14,7 @@ from crossfree.families import (
     classify_pair,
     complement_closure,
     crosses,
+    crossing_row,
     elements_of,
     family_predicates,
     format_set,
@@ -24,7 +25,6 @@ from crossfree.families import (
     parse_set_line,
     region_tables,
     serialize_family,
-    set_regions,
 )
 
 
@@ -125,18 +125,20 @@ def test_crossing_needs_room(case):
 
 
 def pairwise_predicates(fam):
-    """family_predicates by one classify_pair call per pair, as the slow oracle."""
-    sets, g = fam.sets, fam.ground
-    rels = [classify_pair(a, b, g) for a, b in combinations(sets, 2)]
-    weak = (PairRelation.CROSSING, PairRelation.WEAK_ONLY)
-    is_chain = all(r is PairRelation.COMPARABLE for r in rels)
+    """family_predicates from the bit regions of each pair, as the slow oracle."""
+    sets = fam.sets
+    pairs = list(combinations(sets, 2))
+    # A pair is comparable when a\b or b\a is empty, and crosses at least
+    # weakly when a\b, b\a and a&b are all nonempty.
+    comparable = [not (a & ~b and b & ~a) for a, b in pairs]
+    is_chain = all(comparable)
     return {
         "is_chain": is_chain,
         "is_continuous_chain": is_chain
         and all(b.bit_count() == a.bit_count() + 1 for a, b in zip(sets, sets[1:])),
-        "is_antichain": all(r is not PairRelation.COMPARABLE for r in rels),
-        "is_intersecting": all(sets) and all(a & b for a, b in combinations(sets, 2)),
-        "is_laminar": all(r not in weak for r in rels),
+        "is_antichain": not any(comparable),
+        "is_intersecting": all(sets) and all(a & b for a, b in pairs),
+        "is_laminar": not any(a & ~b and b & ~a and a & b for a, b in pairs),
     }
 
 
@@ -247,7 +249,14 @@ def loop_membership_masks(sets, n):
 
 
 def loop_set_regions(a, masks):
-    """set_regions by one step per ground element, as the slow oracle."""
+    """Index masks (inter, beyond, within, outside) of set a, one step per
+    ground element, as the slow oracle for crossing_row.
+
+    Over the indexed members b: inter holds those with a&b nonempty, beyond
+    those with b\\a nonempty, within those containing a, and outside those
+    with some element outside a|b. within is -1 when a is empty, and
+    outside may be negative.
+    """
     inter = beyond = outside = 0
     within = -1
     for e, m in enumerate(masks):
@@ -301,12 +310,14 @@ def test_membership_masks_match_loop(case):
 @settings(deadline=None)
 @given(indexed_sets())
 @_with_examples
-def test_set_regions_match_loop(case):
+def test_crossing_row_matches_loop(case):
     n, sets, a = case
     masks = loop_membership_masks(sets, n)
-    index = (1 << len(sets)) - 1
-    got = set_regions(a, region_tables(masks))
-    assert [m & index for m in got] == [m & index for m in loop_set_regions(a, masks)]
+    tables = region_tables(masks)
+    inter, beyond, within, outside = loop_set_regions(a, masks)
+    weak = inter & beyond & ~within
+    assert crossing_row(a, tables, "weak") == weak
+    assert crossing_row(a, tables, "strict") == weak & outside
 
 
 def loop_parse_set_line(line, ground, lineno=None):
