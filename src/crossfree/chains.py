@@ -24,6 +24,7 @@ from .families import (
     format_set,
     membership_masks,
     parse_element,
+    parse_natural,
     parse_set_line,
     split_header,
 )
@@ -446,7 +447,7 @@ def parse_ordering(text: str, n: int) -> Ordering:
     """One line of space-separated elements, most-preferred first."""
     tokens = text.split()
     try:
-        perm = tuple(int(t) for t in tokens)
+        perm = tuple(parse_natural(t) for t in tokens)
     except ValueError as exc:
         raise FamilyFormatError(f"bad ordering token: {exc}") from None
     if sorted(perm) != list(range(n)):

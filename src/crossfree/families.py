@@ -257,7 +257,7 @@ def split_header(text: str) -> tuple[GroundSet, list[tuple[int, str]]]:
         if len(parts) != 2 or parts[0] != "n":
             raise FamilyFormatError(f"expected header 'n <int>', got {line!r}", lineno)
         try:
-            n = int(parts[1])
+            n = parse_natural(parts[1])
         except ValueError:
             raise FamilyFormatError(f"bad ground set size {parts[1]!r}", lineno) from None
         if not 1 <= n <= MAX_GROUND:
@@ -288,15 +288,22 @@ def parse_family(text: str) -> Family:
     return Family(ground, tuple(masks))
 
 
+def parse_natural(tok: str) -> int:
+    """The value of a token of ASCII digits; ValueError for anything else,
+    such as whitespace, a sign, a '_' or a non-ASCII digit, all of which
+    int() takes."""
+    if not (tok.isascii() and tok.isdigit()):
+        raise ValueError(f"expected ASCII digits, got {tok!r}")
+    return int(tok)
+
+
 def parse_element(tok: str, ground: GroundSet, lineno=None) -> int:
     """Parse one ground-set element of a set or chain line."""
     tok = tok.strip()
     try:
-        e = int(tok)
+        e = parse_natural(tok)
     except ValueError:
         raise FamilyFormatError(f"malformed set element {tok!r}", lineno) from None
-    if e < 0:
-        raise FamilyFormatError(f"elements must be nonnegative, got {tok}", lineno)
     if e >= ground.n:
         raise FamilyFormatError(f"element {e} >= n={ground.n}", lineno)
     return e
@@ -309,9 +316,12 @@ def parse_set_line(line: str, ground: GroundSet, lineno=None) -> int:
     mask = 0
     prev = -1
     n = ground.n
+    # On an ASCII line with no sign or '_', int() reads a token exactly
+    # when parse_element does; any other line is read by parse_element.
+    plain = line.isascii() and "-" not in line and "+" not in line and "_" not in line
     for tok in line.split(","):
         try:
-            e = int(tok)
+            e = int(tok) if plain else parse_element(tok, ground, lineno)
         except ValueError:
             e = -1
         if not prev < e < n:

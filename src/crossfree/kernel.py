@@ -9,8 +9,8 @@ tuple). Pruning uses a greedy coloring bound, which only discards branches
 that cannot contain a k-clique, so the lex-least contract survives. The
 bound colors the whole candidate set once, at entry. After that each root
 is bounded only at its own first node, which colors the root's neighbors
-for need k - 1, a much smaller set than the live one. Without orbits, k=2
-is a scan for the lex-least edge, one AND per vertex and no stack.
+for need k - 1, a much smaller set than the live one. k=2 is a scan for
+the lex-least edge, one AND per vertex and no stack.
 
 ``find_k_clique`` may also take the graph's orbits for orbital fixing
 (Margot, "Exploiting orbits in symmetric ILP", Math. Program. 98, 2003);
@@ -56,13 +56,10 @@ _FIX_AFTER = 16
 def _search(adj, live: int, k: int, orbits=None):
     """The one search behind ``find_k_clique_in`` and ``find_k_clique``.
 
-    Without orbits, k=2 skips the DFS. In ascending order, the first live
-    v whose row meets the live vertices after it, with the lowest such
-    neighbor, is the edge the DFS would return. v leaves the live set
-    before its row is read, so a self-loop never counts. With orbits, k=2
-    takes the spine, but a k=2 root is refuted in one node, so the work
-    spent stays at most len(adj) and, for ``_FIX_AFTER`` >= 1, no orbit
-    fetch happens.
+    k=2 skips the DFS and never asks for orbits. In ascending order, the
+    first live v whose row meets the live vertices after it, with the
+    lowest such neighbor, is the edge the DFS would return. v leaves the
+    live set before its row is read, so a self-loop never counts.
 
     The color bound on the whole live set runs once, before the spine, so
     a graph with fewer than k colors ends at once. The outer loop is the
@@ -83,7 +80,7 @@ def _search(adj, live: int, k: int, orbits=None):
     """
     if k <= 0:
         return ()
-    if k == 2 and orbits is None:
+    if k == 2:
         while live:
             low = live & -live
             live ^= low
@@ -91,7 +88,7 @@ def _search(adj, live: int, k: int, orbits=None):
             if later:
                 return (low.bit_length() - 1, (later & -later).bit_length() - 1)
         return None
-    if k > 2 and _color_bound(adj, live, k) < k:
+    if _color_bound(adj, live, k) < k:
         return None
     orbit = None
     spent = 0

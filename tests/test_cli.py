@@ -162,7 +162,7 @@ def test_main_builds_only_the_invoked_path(tmp_path, parsers_built):
 
 def write_family(tmp_path, text, name="fam.txt"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -723,6 +723,31 @@ def test_chain_file_errors_name_the_line(capsys, tmp_path, text, lineno):
     assert out == ""
     assert_usage_error(code, err)
     assert f"at line {lineno}\n" in err
+
+
+@pytest.mark.parametrize("name, text, token", [
+    pytest.param("family", "n 11\n0,1_0\n", "1_0", id="set-underscore"),
+    pytest.param("family", "n 4\n+3\n", "+3", id="set-plus"),
+    pytest.param("family", "n 4\n-0\n", "-0", id="set-minus-zero"),
+    pytest.param("family", "n 4\n\u0663\n", "\u0663", id="set-arabic-indic-digit"),
+    pytest.param("family", "n +4\n0\n", "+4", id="header-plus"),
+    pytest.param("chains", "n 11\nchain 0; 1_0\n", "1_0", id="chain-added"),
+    pytest.param("chains", "n 11\nchain 1_0; 0\n", "1_0", id="chain-base"),
+    pytest.param("ordering", "0 1 2 3 4 5 6 7 8 9 1_0\n", "1_0", id="ordering"),
+])
+def test_integer_tokens_are_ascii_digits(capsys, tmp_path, name, text, token):
+    # int() alone reads each of these tokens as a number.
+    if name == "family":
+        argv = ["check", "--k", "2", write_family(tmp_path, text)]
+    else:
+        files = {"chains": "n 11\nchain -; 0\n", "ordering": " ".join(map(str, range(11))), name: text}
+        argv = ["chains", "check", "--k", "2", "--multiplier", "0", "--indices", "-",
+                "--ordering", write_family(tmp_path, files["ordering"], "ord.txt"),
+                write_family(tmp_path, files["chains"], "chains.txt")]
+    code, out, err = run(capsys, *argv)
+    assert out == ""
+    assert_usage_error(code, err)
+    assert repr(token) in err
 
 
 def whole_chain_file_argv(tmp_path, command, chain_text):

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from crossfree.constructions import gen_random_cross_free
 from crossfree.crossing import (
+    ChainDecomposition,
+    Witness,
     _max_bipartite_matching,
     crossing_graph,
     dilworth_partition,
@@ -184,6 +186,13 @@ def test_witness_weak_triangle_n3():
     assert w is not None and len(w.sets) == 3
 
 
+def test_witness_rejects_a_pair_that_does_not_cross():
+    # {0,1} and {0,1,2} are comparable, so they cross in neither mode.
+    for mode in ("strict", "weak"):
+        with pytest.raises(ValueError, match=f"does not cross in {mode} mode"):
+            Witness(GroundSet(4), (0b11, 0b111), mode)
+
+
 def test_witness_is_lexicographically_least():
     # Two disjoint strict-crossing pairs over n=4; the lex-least clique under
     # canonical order must be returned.
@@ -219,6 +228,12 @@ def test_dilworth_examples():
     dec = dilworth_partition(Family(g, (0b11, 0b110, 0b111)))
     assert len(dec.chains) == 2
     assert set(dec.max_antichain) == {0b11, 0b110}
+
+
+@pytest.mark.parametrize("chain", [(0b11, 0b1), (0b1, 0b1), (0b1, 0b10)])
+def test_chain_decomposition_rejects_a_chain_not_increasing(chain):
+    with pytest.raises(ValueError, match="chain not strictly increasing"):
+        ChainDecomposition((chain,), ())
 
 
 def test_dilworth_matches_brute_force():
@@ -308,6 +323,7 @@ def test_greedy_independent_set_trivial_graphs():
     assert greedy_independent_set([0] * 8) == tuple(range(8))
     full = [(0b11111 & ~(1 << v)) for v in range(5)]
     assert len(greedy_independent_set(full)) == 1
+    assert turan_floor(0, ()) == 0
 
 
 def test_greedy_independent_set_meets_turan_floor():
@@ -337,3 +353,8 @@ def test_uniform_bound_report():
 
     rep = uniform_bound_report(Family(g, (0b1, 0b11)), 2)
     assert not rep.is_uniform and rep.bound is None and not rep.violates
+
+    # Only the empty set has size 0, so (k-1)n/0 bounds nothing.
+    rep = uniform_bound_report(Family(g, (0,)), 3)
+    assert rep.is_uniform and rep.level == 0 and rep.bound is None
+    assert rep.size == 1 and not rep.violates

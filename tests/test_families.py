@@ -22,6 +22,7 @@ from crossfree.families import (
     membership_masks,
     parse_element,
     parse_family,
+    parse_natural,
     parse_set_line,
     region_tables,
     serialize_family,
@@ -350,3 +351,13 @@ def test_parse_set_line_matches_per_token_loop():
         line = ",".join(rng.choice(tokens) for _ in range(rng.randrange(1, 5)))
         expected = _parse_outcome(loop_parse_set_line, line, ground)
         assert _parse_outcome(parse_set_line, line, ground) == expected, line
+
+
+def test_parse_natural_takes_only_ascii_digits():
+    assert [parse_natural(t) for t in ("0", "07", "12")] == [0, 7, 12]
+    # int() reads the last seven as numbers.
+    for tok in ("", "1 2", "\u00b2", " 1", "+3", "-0", "-1", "1_0", "\u0663", "\uff11"):
+        with pytest.raises(ValueError, match="expected ASCII digits"):
+            parse_natural(tok)
+    # parse_element takes the whitespace around a token, as int() does.
+    assert [parse_element(t, GroundSet(13)) for t in (" 12\t", "\u00a03\u2003")] == [12, 3]

@@ -10,7 +10,7 @@ from crossfree.constructions import gen_cyclic_intervals, gen_laminar_max
 from crossfree.crossing import crossing_graph
 from crossfree.families import Family, GroundSet
 from crossfree.symmetry import set_orbits
-from oracles import random_graph, relabel
+from oracles import all_subsets, random_graph, relabel
 
 
 def test_python_kernel_basics():
@@ -87,7 +87,16 @@ def edge_queries(draw):
 def test_k2_scan_returns_the_least_edge(query):
     adj, cand = query
     assert kernel.find_k_clique_in(adj, cand, 2) == least_edge(adj, cand)
-    assert kernel.find_k_clique(adj, 2) == least_edge(adj, (1 << len(adj)) - 1)
+    edge = least_edge(adj, (1 << len(adj)) - 1)
+    assert kernel.find_k_clique(adj, 2) == edge
+
+    def orbits():
+        raise AssertionError("k=2 asked for orbits")
+
+    # With orbits too, at any fetch budget, k=2 is the scan.
+    assert kernel.find_k_clique(adj, 2, orbits) == edge
+    with mock.patch.object(kernel, "_FIX_AFTER", 0):
+        assert kernel.find_k_clique(adj, 2, orbits) == edge
 
 
 def test_complete_graph_deeper_than_recursion_limit():
@@ -256,13 +265,30 @@ def symmetric_queries(draw):
     return fam, draw(st.sampled_from(("strict", "weak"))), draw(st.integers(2, 5))
 
 
-def test_orbital_fixing_matches_plain_kernel():
-    # Run at the default _FIX_AFTER, then at 0, which asks for orbits at the
-    # first refuted root, so every example that refutes a root takes the
-    # orbit path there; the coverage floors are on that run.
+def seeded_symmetric_queries(rng, count):
+    """count queries of a family (at most 24 random sets over n <= 7,
+    relabelled intervals n 3-8 or all subsets n <= 6), a mode and a k of
+    3-5. k=2 never asks for orbits, and a laminar family has no crossing
+    pair, so neither is drawn."""
+    for _ in range(count):
+        kind = rng.choice(("random", "intervals", "all"))
+        if kind == "random":
+            n = rng.randint(1, 7)
+            fam = Family(GroundSet(n), tuple(rng.getrandbits(n) for _ in range(rng.randint(0, 24))))
+        elif kind == "intervals":
+            fam = relabel(gen_cyclic_intervals(rng.randint(3, 8), rng.random() < 0.5), rng)
+        else:
+            fam = all_subsets(rng.randint(1, 6))
+        yield fam, rng.choice(("strict", "weak")), rng.randint(3, 5)
 
-    @settings(deadline=None, max_examples=400)
-    @given(symmetric_queries())
+
+def test_orbital_fixing_matches_plain_kernel():
+    # Run hypothesis' queries at the default _FIX_AFTER, then seeded k >= 3
+    # queries at 0, which asks for orbits at the first refuted root, so
+    # every query that refutes a root takes the orbit path there; the
+    # coverage floors are on that run.
+    calls = {"examples": 0, "fired": 0, "brute": 0}
+
     def check(query):
         fam, mode, k = query
         adj = crossing_graph(fam, mode).adj
@@ -278,14 +304,19 @@ def test_orbital_fixing_matches_plain_kernel():
         assert clique == kernel.find_k_clique(adj, k)
         # The plain kernel shares its DFS with the orbit path, so small
         # families also meet an oracle that shares no code with either.
-        if len(adj) <= 16:
+        if len(adj) <= 20:
             assert clique == brute_cliques(adj, (1 << len(adj)) - 1, k)
             calls["brute"] += len(fired)
 
-    calls = {"examples": 0, "fired": 0, "brute": 0}
-    check()
+    @settings(deadline=None, max_examples=400)
+    @given(symmetric_queries())
+    def check_drawn(query):
+        check(query)
+
+    check_drawn()
     calls = {"examples": 0, "fired": 0, "brute": 0}
     with mock.patch.object(kernel, "_FIX_AFTER", 0):
-        check()
+        for query in seeded_symmetric_queries(random.Random(0), 400):
+            check(query)
     assert calls["fired"] >= calls["examples"] // 4
     assert calls["brute"] >= calls["examples"] // 8
