@@ -47,6 +47,7 @@ from .families import (
     classify_pair,
     format_set,
     parse_family,
+    parse_natural,
     serialize_family,
 )
 from .search import (
@@ -81,7 +82,7 @@ def _parse_indices(text: str) -> tuple[int, ...]:
     indices = []
     for tok in text.split(","):
         try:
-            indices.append(int(tok))
+            indices.append(parse_natural(tok.strip()))
         except ValueError:
             raise ValueError(f"bad index {tok!r}: expected comma-separated integers or '-'") from None
     return tuple(indices)
@@ -89,9 +90,9 @@ def _parse_indices(text: str) -> tuple[int, ...]:
 
 def _parse_range(text: str) -> range:
     """'3' -> range(3, 4); '3..5' -> range(3, 6), built lazily."""
-    lo, dots, hi = text.partition("..")
+    lo, dots, hi = (part.strip() for part in text.partition(".."))
     try:
-        values = range(int(lo), int(hi if dots else lo) + 1)
+        values = range(parse_natural(lo), parse_natural(hi if dots else lo) + 1)
     except ValueError:
         raise ValueError(f"bad range {text!r}: expected an integer or lo..hi") from None
     if not values:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossfree import crossing, search, symmetry
+from crossfree import crossing, symmetry
 from crossfree.cli import build_parser, main
 from crossfree.constructions import gen_cyclic_intervals
 from crossfree.families import Family, GroundSet, serialize_family
@@ -450,22 +450,16 @@ def test_tree_build(capsys, tmp_path):
     assert json.loads(out)["children"]
 
 
-T5_FAILURE = (
-    "assembled tree fails validation: {'malformed': [], 'violations': {'T1': [], 'T2': [],"
-    " 'T3': [], 'T4': [], 'T5': ['nodes (0,),(1,): S 0,1,3,4,5,6 not inside S 0,3,4,6']},"
-    " 'advisory': {'T6': [], 'T7': [], 'T8': []}, 'ok': False}"
-)
-
-
 # Each case builds from four chains over n=7 with --indices 0,1,2,3 and
 # height 1; roots 1-3 hold the top chains below label 2, so only root 0 is
-# assembled.
+# assembled. A reason of None means that root 0 builds.
 @pytest.mark.parametrize("chains, ordering, branching, reason", [
     pytest.param(("4; 1,0,2", "3,4; 0,1,2", "3,4,5; 1,0,2", "3,4,5,6; 0,2,1"), "0 4 3 6 2 5 1", "2",
                  "only 1 chain-compatible subtrees < branching 2", id="chain-compatible"),
-    # The longest S-chain need not shrink left to right in label order (T5).
+    # The S-sets 0,3,4,6 (label 1) and 0,1,3,4,5,6 (label 2) grow from
+    # left to right, so the filter keeps only the first (T5).
     pytest.param(("3; 0,1,2", "3,4; 0,1,2", "3,4,6; 0,1,2", "3,4,5,6; 1,0,2"), "0 4 2 6 5 1 3", "1",
-                 T5_FAILURE, id="t5"),
+                 None, id="t5"),
 ])
 def test_tree_build_failure_reasons(capsys, tmp_path, chains, ordering, branching, reason):
     chains_path = write_family(tmp_path, "n 7\n" + "".join(f"chain {c}\n" for c in chains), "chains.txt")
@@ -474,6 +468,12 @@ def test_tree_build_failure_reasons(capsys, tmp_path, chains, ordering, branchin
         capsys, "tree", "build", "--chains", chains_path, "--ordering", ordering_path,
         "--indices", "0,1,2,3", "--k", "2", "--height", "1", "--branching", branching,
     )
+    if reason is None:
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"chain": 0, "edge_label_from_parent": None, "children": [
+            {"chain": 2, "edge_label_from_parent": 1, "children": []},
+        ]}
+        return
     assert (code, out) == (1, "")
     assert err == (
         f"no tree meets the branching target\nroot 0: {reason}\n"
@@ -553,7 +553,6 @@ def test_search_universe_deeper_than_recursion_limit(capsys, tmp_path, monkeypat
 
     monkeypatch.setattr(symmetry, "set_orbits", no_group)
     monkeypatch.setattr(crossing, "set_orbits", no_group)
-    monkeypatch.setattr(search, "set_orbits", no_group, raising=False)
     pairs = islice(combinations(range(64), 2), 1100)
     fam = write_family(tmp_path, "n 64\n" + "".join(f"{a},{b}\n" for a, b in pairs))
     code, out, _ = run(capsys, "search", "--k", "200", fam)
@@ -772,6 +771,30 @@ def test_header_only_chain_file_is_usage_error(capsys, tmp_path, command):
     assert "no chains" in err
 
 
+def test_tree_extract_rejects_sizes_that_do_not_grow(capsys, tmp_path):
+    # The tree meets T1-T5 and fails only the advisory T8: the S of node
+    # (1, 1) is no larger than that of its parent (1,), and the greedy path
+    # takes both.
+    chains = ("4; 1,0,8", "1,2,4,5,11; 3,0,6", "4,5; 2,1,6", "1,2,3,4,5,6,7,10,11; 0,8,9",
+              "1,2,4,5,6,11; 3,8,9", "2,4,5,7,10; 1,8,9", "4,5,7; 2,8,9")
+
+    def node(chain, label, *children):
+        return {"chain": chain, "edge_label_from_parent": label, "children": list(children)}
+
+    tree = node(0, None, node(1, 0, node(3, 0), node(4, 3)), node(2, 1, node(5, 1), node(6, 2)))
+    inputs = [
+        "--chains", write_family(tmp_path, "n 12\n" + "".join(f"chain {c}\n" for c in chains), "chains.txt"),
+        "--ordering", write_family(tmp_path, "2 1 3 0 4 5 6 7 8 9 10 11\n", "ord.txt"),
+        write_family(tmp_path, json.dumps(tree), "tree.json"),
+    ]
+    code, out, _ = run(capsys, "tree", "validate", "--format", "json", *inputs)
+    report = json.loads(out)
+    assert code == 0 and report["ok"]
+    assert [a for a, found in report["advisory"].items() if found] == ["T8"]
+    code, out, err = run(capsys, "tree", "extract", "--k", "2", *inputs)
+    assert (code, out, err) == (1, "extraction failed: extracted sizes not strictly increasing: [4, 4]\n", "")
+
+
 @pytest.mark.parametrize("command", ["chains-select", "chains-check", "tree-build"])
 def test_mixed_h_chain_file_is_usage_error(capsys, tmp_path, command):
     argv = whole_chain_file_argv(tmp_path, command, "n 3\nchain -; 0\nchain 1; 2,0\n")
@@ -817,6 +840,14 @@ def test_bad_index_list_is_usage_error(capsys, command):
     assert "bad index 'x': expected comma-separated integers or '-'" in err
 
 
+@pytest.mark.parametrize("keep, bad", [("+0,1_0", "+0"), ("0,1_0", "1_0"), ("0,\u0663", "\u0663")])
+def test_index_list_takes_only_ascii_digits(capsys, keep, bad):
+    code, out, err = run(capsys, "tree", "prune", "--keep", keep, str(FIXTURES / "tree.json"))
+    assert out == ""
+    assert_usage_error(code, err)
+    assert f"bad index {bad!r}: expected comma-separated integers or '-'" in err
+
+
 @pytest.mark.parametrize("option", [["--n", "5..3", "--k", "2"], ["--n", "4", "--k", "3..2"]])
 def test_table_reversed_range_is_usage_error(capsys, option):
     code, out, err = run(capsys, "table", *option)
@@ -833,6 +864,10 @@ def test_table_reversed_range_is_usage_error(capsys, option):
     (["--n", "x", "--k", "2"], "x"),
     (["--n", "4", "--k", "2..x"], "2..x"),
     (["--n", "4", "--k", "..3"], "..3"),
+    # Numbers are ASCII digits alone, as in family files.
+    (["--n", "+3", "--k", "\u0663"], "+3"),
+    (["--n", "3", "--k", "\u0663"], "\u0663"),
+    (["--n", "1_0", "--k", "2"], "1_0"),
 ])
 def test_table_malformed_range_is_usage_error(capsys, option, text):
     code, out, err = run(capsys, "table", *option)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossfree import kernel, search, symmetry
+from crossfree import crossing, kernel, symmetry
 from crossfree.constructions import gen_cyclic_intervals
 from crossfree.crossing import crossing_graph, find_pairwise_crossing_witness
 from crossfree.families import Family, GroundSet, crosses, elements_of
@@ -242,7 +242,7 @@ def test_table_cases_node_counts(monkeypatch):
         raise AssertionError("search fetched the symmetry group")
 
     monkeypatch.setattr(symmetry, "set_orbits", no_group)
-    monkeypatch.setattr(search, "set_orbits", no_group, raising=False)
+    monkeypatch.setattr(crossing, "set_orbits", no_group)
     nodes = []
     with mock.patch.object(kernel, "find_k_clique_in", side_effect=kernel.find_k_clique_in) as calls:
         for universe, k, mode, want in TABLE_CASES:

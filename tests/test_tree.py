@@ -17,9 +17,10 @@ from crossfree.chains import (
     parse_chain_collection,
     parse_ordering,
 )
-from crossfree.families import Family, GroundSet, canonical_key, classify_pair, mask_of
+from crossfree.families import Family, GroundSet, classify_pair, mask_of
 from crossfree.tree import (
     _longest_chain,
+    _strict_subset,
     CrossSupportTree,
     ExtractionError,
     MalformedTreeError,
@@ -320,48 +321,52 @@ def t5_cli_input():
     return cc, (0, 1, 2, 3), parse_ordering("0 4 2 6 5 1 3", 7), 1, 1
 
 
-def test_assembly_check_agrees_with_validate_tree(monkeypatch):
-    # _assemble_root trusts _root_pairs_nest in place of validate_tree, so
-    # the two must agree on every assembly, the ones that fail T5 included.
-    check = tree_module._root_pairs_nest
-    seen = {"assembled": 0, "rejected": 0}
-
-    def checked(cc, root):
-        ok = check(cc, root)
-        assert ok == validate_tree(CrossSupportTree(root), cc, ordering).ok
-        seen["assembled"] += 1
-        seen["rejected"] += not ok
-        return ok
-
-    monkeypatch.setattr(tree_module, "_root_pairs_nest", checked)
-    inputs = [t5_cli_input()] + [nested_prefix_input(random.Random(seed)) for seed in range(5000)]
-    failed = 0
-    for cc, selected, ordering, height, branching in inputs:
-        res = build_tree(cc, selected, ordering, height, branching)
-        failed += any(r.startswith("assembled tree fails validation") for r in res.per_root.values())
-    assert seen["assembled"] >= 5000
-    assert seen["rejected"] >= 50 and failed >= 30
+def harness_inputs():
+    return [t5_cli_input()] + [nested_prefix_input(random.Random(seed)) for seed in range(5000)]
 
 
-def test_assembly_check_reaches_below_the_root_children():
-    # Chains 1-3 grow nested bases, and chain 3 adds element 12 to chain
-    # 2's. With chain 3 under child (1), depth 1 still nests, but depth 2
-    # leaves the S of node (0, 0).
-    bases = (range(3, 6), range(3, 9), range(3, 12), range(3, 13))
-    cc = ChainCollection(GroundSet(13), tuple(Chain(mask_of(b), (0, 1, 2)) for b in bases))
-    ordering = Ordering.natural(13)
-    for deep, ok in ((2, True), (3, False)):
-        root = TreeNode(0, None, (
-            TreeNode(1, 2, (TreeNode(2, 2), TreeNode(2, 0))),
-            TreeNode(1, 1, (TreeNode(deep, 1), TreeNode(deep, 0))),
-        ))
-        report = validate_tree(CrossSupportTree(root), cc, ordering)
-        assert tree_module._root_pairs_nest(cc, root) is report.ok is ok
-    assert [v.split(":")[0] for v in report.violations["T5"]] == [
-        "nodes (0, 0),(1, 0)",
-        "nodes (0, 0),(1, 1)",
-    ]
-    assert not any(report.violations[a] for a in ("T1", "T2", "T3", "T4"))
+def test_every_assembly_passes_validate_tree(monkeypatch):
+    # _assemble_root checks only the branching target; its chain filter
+    # must give T1-T5 by construction on every assembly, returned or not.
+    assemble = tree_module._assemble_root
+    assembled = []
+
+    def checked(cc, ordering, *args):
+        root = assemble(cc, ordering, *args)
+        if isinstance(root, TreeNode):
+            assert validate_tree(CrossSupportTree(root), cc, ordering).ok
+            assembled.append(root)
+        return root
+
+    monkeypatch.setattr(tree_module, "_assemble_root", checked)
+    for cc, selected, ordering, height, branching in harness_inputs():
+        build_tree(cc, selected, ordering, height, branching)
+    assert len(assembled) >= 5000
+
+
+def test_chain_order_binds_only_at_level_1(monkeypatch):
+    # _assemble_root's docstring shows why: no S-set below depth 0, and
+    # none at a later level, grows from left to right. The order can drop
+    # a child only where some set lies strictly inside one to its right.
+    assemble, longest = tree_module._assemble_root, tree_module._longest_chain
+    level = [0]
+    binding = []
+
+    def at_level(cc, ordering, roots, i, *args):
+        level[0] = CrossSupportTree(roots[i]).height() + 1
+        return assemble(cc, ordering, roots, i, *args)
+
+    def recorded(sets):
+        sets = list(sets)
+        if any(_strict_subset(a, b) for a, b in combinations(sets, 2)):
+            binding.append(level[0])
+        return longest(sets)
+
+    monkeypatch.setattr(tree_module, "_assemble_root", at_level)
+    monkeypatch.setattr(tree_module, "_longest_chain", recorded)
+    for cc, selected, ordering, height, branching in harness_inputs():
+        build_tree(cc, selected, ordering, height, branching)
+    assert len(binding) >= 100 and set(binding) == {1}
 
 
 @pytest.mark.parametrize("height", range(5))
@@ -394,25 +399,25 @@ def test_build_tree_rejects_a_pruned_child_below_branching():
     assert res.per_root[0] == "node (1,) has 2 < branching 3"
 
 
-def is_chain(sets):
-    """``sets`` in canonical order strictly increase under inclusion."""
-    order = sorted(sets, key=canonical_key)
-    return all(a & ~b == 0 and a != b for a, b in zip(order, order[1:]))
+def shrinks(sets):
+    """Each of ``sets`` is a strict subset of the one before it."""
+    return all(_strict_subset(b, a) for a, b in zip(sets, sets[1:]))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sets(st.integers(0, 2**5 - 1), max_size=12))
+@given(st.lists(st.integers(0, 2**5 - 1), unique=True, max_size=12))
 def test_longest_chain_matches_brute_force(sets):
-    longest = max(r for r in range(len(sets) + 1) for sub in combinations(sets, r) if is_chain(sub))
+    # sets in child order; combinations keep that order.
+    longest = max(r for r in range(len(sets) + 1) for sub in combinations(sets, r) if shrinks(sub))
     chain = _longest_chain(sets)
     assert len(chain) == longest
-    assert chain <= sets and is_chain(chain)
+    assert chain <= set(sets) and shrinks([s for s in sets if s in chain])
 
 
 def test_longest_chain_beats_the_largest_partition_chain():
-    # {1} < {1,2} < {0,1,2} is the longest chain; a minimum chain partition
+    # {0,1,2} > {1,2} > {1} is the longest chain; a minimum chain partition
     # of these four sets has two chains of two.
-    sets = (0b010, 0b101, 0b110, 0b111)
+    sets = (0b111, 0b110, 0b101, 0b010)
     partition = crossing.dilworth_partition(Family(GroundSet(3), sets))
     assert max(len(chain) for chain in partition.chains) == 2
     assert _longest_chain(sets) == {0b010, 0b110, 0b111}
