@@ -55,7 +55,6 @@ from .search import (
     SearchInfeasibleError,
     SearchResult,
     bound_table,
-    brute_force_max,
     format_table_csv,
     format_table_text,
     max_cross_free,

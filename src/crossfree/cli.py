@@ -88,13 +88,22 @@ def _parse_indices(text: str) -> tuple[int, ...]:
     return tuple(indices)
 
 
+def _integer(text: str) -> int:
+    """An integer option's value: ASCII digits, as in input files. A leading
+    '-' is kept, so that a negative value meets the check that names it."""
+    try:
+        return -parse_natural(text[1:]) if text.startswith("-") else parse_natural(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer of ASCII digits, got {text!r}") from None
+
+
 def _parse_range(text: str) -> range:
     """'3' -> range(3, 4); '3..5' -> range(3, 6), built lazily."""
     lo, dots, hi = (part.strip() for part in text.partition(".."))
     try:
         values = range(parse_natural(lo), parse_natural(hi if dots else lo) + 1)
     except ValueError:
-        raise ValueError(f"bad range {text!r}: expected an integer or lo..hi") from None
+        raise ValueError(f"bad range {text!r}: expected a natural number of ASCII digits or lo..hi") from None
     if not values:
         raise ValueError(f"empty range {text}")
     return values
@@ -326,13 +335,13 @@ def _arg(*flags, **kwargs):
     return flags, kwargs
 
 
-K = _arg("--k", type=int, required=True)
+K = _arg("--k", type=_integer, required=True)
 MODE = _arg("--mode", choices=("strict", "weak"), default="strict")
 FORMAT = _arg("--format", choices=("text", "json"), default="text")
 FAMILY = _arg("family")
-N = _arg("--n", type=int, required=True)
-MULTIPLIER = _arg("--multiplier", type=int, default=3)
-SEED = _arg("--seed", type=int, required=True)
+N = _arg("--n", type=_integer, required=True)
+MULTIPLIER = _arg("--multiplier", type=_integer, default=3)
+SEED = _arg("--seed", type=_integer, required=True)
 TREE_INPUTS = (_arg("--chains", required=True), _arg("--ordering", required=True))
 
 COMMANDS = {
@@ -351,7 +360,7 @@ COMMANDS = {
     "reduce": Command("weakly-cross-free half-size reduction", cmd_reduce, (K, FAMILY)),
     "chains": Group("chain extraction, selection, and condition checks", "chains_command", {
         "extract": Command("greedy disjoint continuous chains", cmd_chains_extract, (
-            _arg("--h", type=int, required=True), FAMILY,
+            _arg("--h", type=_integer, required=True), FAMILY,
         )),
         "select": Command("randomized C1-C4 chain selection", cmd_chains_select, (
             K, MULTIPLIER, SEED, FORMAT, _arg("chains"),
@@ -376,8 +385,8 @@ COMMANDS = {
             *TREE_INPUTS,
             _arg("--indices", required=True),
             K,
-            _arg("--height", type=int, required=True),
-            _arg("--branching", type=int, required=True),
+            _arg("--height", type=_integer, required=True),
+            _arg("--branching", type=_integer, required=True),
         )),
         "prune": Command("keep a subset of root children", cmd_tree_prune, (
             _arg("--keep", required=True, help="comma-separated root child positions"),

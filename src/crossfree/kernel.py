@@ -7,9 +7,10 @@ with the graph. Each step branches on the lowest candidate vertex, so the
 first k-clique found is the lexicographically least one (as a sorted index
 tuple). Pruning uses a greedy coloring bound, which only discards branches
 that cannot contain a k-clique, so the lex-least contract survives. The
-bound colors the whole candidate set once, at entry. After that each root
-is bounded only at its own first node, which colors the root's neighbors
-for need k - 1, a much smaller set than the live one. k=2 is a scan for
+bound colors the whole candidate set once, at entry; the spine of roots
+is never bounded again. Inside a root's subtree every node that still
+needs more than two vertices colors its own candidates, starting with the
+root's neighbors, a much smaller set than the live one. k=2 is a scan for
 the lex-least edge, one AND per vertex and no stack.
 
 ``find_k_clique`` may also take the graph's orbits for orbital fixing
@@ -64,16 +65,18 @@ def _search(adj, live: int, k: int, orbits=None):
     The color bound on the whole live set runs once, before the spine, so
     a graph with fewer than k colors ends at once. The outer loop is the
     exclude spine: it takes the live roots in index order and runs the
-    include-first DFS in each root's subtree, whose first node bounds the
-    root's own neighbors. A refuted root v lies in no k-clique, as every
-    lower root has left the live set for lying in none. With orbits (passed
-    only with every vertex live), an automorphism maps k-cliques to
-    k-cliques, so v's whole orbit leaves the live roots; the clique found
-    is still the lex-least one. Finding the orbits costs a group search, so
-    orbits() is called at most once, when the work spent on refuted roots,
-    summed over all of them, first exceeds ``_FIX_AFTER * len(adj)``, and
-    the roots refuted up to then drop their orbits at once. Many cheap
-    refutations thus add up to a fetch as one costly refutation does.
+    include-first DFS in each root's subtree, where every node that needs
+    more than two vertices bounds its candidates, from the root's own
+    neighbors down; the spine itself is not bounded. A refuted root v lies
+    in no k-clique, as every lower root has left the live set for lying in
+    none. With orbits (passed only with every vertex live), an
+    automorphism maps k-cliques to k-cliques, so v's whole orbit leaves
+    the live roots; the clique found is still the lex-least one. Finding
+    the orbits costs a group search, so orbits() is called at most once,
+    when the work spent on refuted roots, summed over all of them, first
+    exceeds ``_FIX_AFTER * len(adj)``, and the roots refuted up to then
+    drop their orbits at once. Many cheap refutations thus add up to a
+    fetch as one costly refutation does.
 
     Neither public function calls the other, so a wrapper installed on one
     of them sees exactly the calls made to it.

@@ -27,7 +27,7 @@ from math import comb
 from . import kernel
 from .constructions import gen_cyclic_intervals
 from .crossing import crossing_graph, find_pairwise_crossing_witness
-from .families import Family, GroundSet, elements_of, mask_of
+from .families import Family, GroundSet, elements_of
 
 MAX_UNIVERSE = 4096
 
@@ -140,20 +140,6 @@ def max_cross_free(universe: Family, k: int, mode: str) -> SearchResult:
     assert len(best) == c[0]
     assert find_pairwise_crossing_witness(best, k, mode) is None if c[0] >= k else True
     return SearchResult(best, c[0], nodes)
-
-
-def brute_force_max(universe: Family, k: int, mode: str) -> int:
-    """Independent oracle: enumerate subfamilies by descending size."""
-    from itertools import combinations
-
-    graph = crossing_graph(universe, mode)
-    adj = graph.adj
-    nverts = len(universe)
-    for size in range(nverts, -1, -1):
-        for combo in combinations(range(nverts), size):
-            if kernel.find_k_clique_in(adj, mask_of(combo), k) is None:
-                return size
-    return 0
 
 
 # --- bound tables -----------------------------------------------------------

@@ -409,6 +409,11 @@ def _assemble_root(cc, ordering, roots, i, z_i, tops, branching):
     y's S, inside x's S, which lacks x. So y lies in every S down x's
     leftmost path and in none down y's. A later level's labels are such
     kept labels of one root, so no pair of its S-sets grows left to right.
+
+    The filter below depth 0 still drops children, as S-sets that nest at
+    depth 0 need not nest deeper (a level-2 input in test_tree.py). Random
+    inputs seldom show it: a level-2 root had two children only at h >= 5,
+    and nested-prefix chains have nested bases.
     """
     # Distinct representatives: process labels left to right (z_i ascends
     # in the ordering, so in reverse) and take the candidate with the

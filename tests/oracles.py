@@ -6,7 +6,7 @@ oracle and builds its random inputs the same way.
 
 from itertools import combinations
 
-from crossfree.families import Family, GroundSet, elements_of, mask_of
+from crossfree.families import Family, GroundSet, crosses, elements_of, mask_of
 
 
 def all_subsets(n):
@@ -41,3 +41,39 @@ def max_antichain_size(sets):
             if all(a & ~b and b & ~a for a, b in combinations(combo, 2)):
                 return size
     return 0
+
+
+def lex_least_optimum(fam, k, mode):
+    """The lexicographically least largest subfamily of ``fam`` with no k
+    pairwise-crossing sets, as a tuple of its sets in ``fam``'s order.
+
+    Sizes are tried from ``len(fam)`` down. At each size a DFS adds indices
+    in ``combinations`` order, and index j joins only when no k - 1 chosen
+    sets that cross j also cross each other pairwise. Being k-cross-free
+    is hereditary, so this drops no family of the size sought, and the
+    first family found is the least one.
+    """
+    sets = fam.sets
+    cross = [
+        {i for i in range(len(sets)) if crosses(sets[i], sets[j], fam.ground, mode)}
+        for j in range(len(sets))
+    ]
+
+    def extend(chosen, start, size):
+        if len(chosen) == size:
+            return chosen
+        for j in range(start, len(sets) - size + len(chosen) + 1):
+            near = [i for i in chosen if i in cross[j]]
+            if not any(
+                all(b in cross[a] for a, b in combinations(group, 2))
+                for group in combinations(near, k - 1)
+            ):
+                found = extend(chosen + [j], j + 1, size)
+                if found is not None:
+                    return found
+        return None
+
+    for size in range(len(sets), -1, -1):
+        found = extend([], 0, size)
+        if found is not None:
+            return tuple(sets[i] for i in found)

@@ -28,7 +28,7 @@ from crossfree.crossing import (
     uniform_bound_report,
 )
 from crossfree.families import Family, GroundSet, elements_of, mask_of
-from crossfree.search import brute_force_max, max_cross_free
+from crossfree.search import max_cross_free
 from crossfree.tree import (
     CrossSupportTree,
     TreeNode,
@@ -38,7 +38,7 @@ from crossfree.tree import (
     tree_from_json,
     validate_tree,
 )
-from oracles import all_subsets, max_antichain_size
+from oracles import all_subsets, lex_least_optimum, max_antichain_size
 
 FIXTURES = Path(__file__).parent / "fixtures" / "crosstree"
 GOLDEN = Path(__file__).parent / "golden"
@@ -59,11 +59,11 @@ def test_acceptance_2_strict_2_cross_free():
     results = {n: max_cross_free(all_subsets(n), 2, "strict") for n in (3, 4, 5)}
     ok = all(results[n].size <= 4 * n - 2 for n in (3, 4, 5))
     # n=3: independent full-enumeration oracle
-    ok = ok and results[3].size == brute_force_max(all_subsets(3), 2, "strict") == 8
+    ok = ok and results[3].size == len(lex_least_optimum(all_subsets(3), 2, "strict")) == 8
     # n=4: only 2-element sets can strictly cross, so the exact value is the
     # 10 other subsets plus the largest crossing-free set of 2-sets.
     pairs = Family(GroundSet(4), tuple(mask_of(c) for c in combinations(range(4), 2)))
-    oracle4 = 10 + brute_force_max(pairs, 2, "strict")
+    oracle4 = 10 + len(lex_least_optimum(pairs, 2, "strict"))
     ok = ok and results[4].size == oracle4 == 12
     # n=5: cross-check under a ground-element relabeling (value is invariant)
     perm = [3, 0, 4, 1, 2]

@@ -749,6 +749,27 @@ def test_integer_tokens_are_ascii_digits(capsys, tmp_path, name, text, token):
     assert repr(token) in err
 
 
+CHAINS = str(FIXTURES / "chains.txt")
+
+
+@pytest.mark.parametrize("token", ["\u0663", "+1", "1_0"])
+@pytest.mark.parametrize("argv", [
+    ["gen", "laminar", "--n", "{}"],
+    ["gen", "random", "--n", "3", "--k", "2", "--seed", "{}"],
+    ["check", "--k", "{}", "-"],
+    ["chains", "extract", "--h", "{}", "-"],
+    ["chains", "select", "--k", "2", "--multiplier", "{}", "--seed", "1", CHAINS],
+    ["tree", "build", *TREE_INPUTS, "--indices", "0", "--k", "2", "--height", "{}", "--branching", "1"],
+    ["tree", "build", *TREE_INPUTS, "--indices", "0", "--k", "2", "--height", "1", "--branching", "{}"],
+], ids=lambda argv: argv[argv.index("{}") - 1])
+def test_integer_options_take_only_ascii_digits(argv, token):
+    # int() reads each of these tokens as a number; the options, like the
+    # input files, take ASCII digits alone.
+    code, out, err, _ = outcome(main, [token if a == "{}" else a for a in argv])
+    assert code == 2 and out == ""
+    assert err.endswith(f"expected an integer of ASCII digits, got {token!r}\n")
+
+
 def whole_chain_file_argv(tmp_path, command, chain_text):
     """argv of ``command``, one of the three that need a chain file of at
     least one chain, all of one h, over ``chain_text`` and the ordering 0 1 2."""
@@ -868,12 +889,14 @@ def test_table_reversed_range_is_usage_error(capsys, option):
     (["--n", "+3", "--k", "\u0663"], "+3"),
     (["--n", "3", "--k", "\u0663"], "\u0663"),
     (["--n", "1_0", "--k", "2"], "1_0"),
+    # A negative bound is an integer, but not a natural number.
+    (["--n", "3", "--k", "-2"], "-2"),
 ])
 def test_table_malformed_range_is_usage_error(capsys, option, text):
     code, out, err = run(capsys, "table", *option)
     assert out == ""
     assert_usage_error(code, err)
-    assert f"bad range {text!r}: expected an integer or lo..hi" in err
+    assert f"bad range {text!r}: expected a natural number of ASCII digits or lo..hi" in err
 
 
 def test_table_huge_range_is_usage_error(capsys):

@@ -6,6 +6,9 @@ Stdlib-only scans over the syntax tree. A name bound by ``import`` or
 is skipped there, since it imports names to re-export them. A private
 function, class or constant must be read, or imported, by another
 top-level statement of ``src/``, so a helper kept only for tests fails.
+The test oracles in ``tests/oracles.py`` import no ``crossfree`` module
+but ``crossfree.families``, so they share no code with the layers they
+check.
 """
 
 import ast
@@ -14,6 +17,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "crossfree"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -96,3 +100,29 @@ def test_scan_finds_unread_private_names():
 def test_no_private_name_unread_in_package():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def crossfree_imports(source: str) -> list[str]:
+    """The ``crossfree`` modules the module source imports; ``from crossfree
+    import x`` counts as the package itself, which imports every module."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append(node.module)
+    return [name for name in names if name.split(".")[0] == "crossfree"]
+
+
+def test_scan_finds_crossfree_imports():
+    source = (
+        "import itertools\n"
+        "import crossfree.kernel as k\n"
+        "from crossfree import search, families\n"
+        "from crossfree.families import crosses\n"
+    )
+    assert crossfree_imports(source) == ["crossfree.kernel", "crossfree", "crossfree.families"]
+
+
+def test_oracles_import_only_families():
+    assert set(crossfree_imports(ORACLES.read_text())) == {"crossfree.families"}

@@ -1,5 +1,4 @@
 import random
-from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -9,17 +8,16 @@ from hypothesis import strategies as st
 from crossfree import crossing, kernel, symmetry
 from crossfree.constructions import gen_cyclic_intervals
 from crossfree.crossing import crossing_graph, find_pairwise_crossing_witness
-from crossfree.families import Family, GroundSet, crosses, elements_of
+from crossfree.families import Family, GroundSet, elements_of
 from crossfree.search import (
     SearchInfeasibleError,
     _formula_for,
     bound_table,
-    brute_force_max,
     format_table_csv,
     format_table_text,
     max_cross_free,
 )
-from oracles import all_subsets
+from oracles import all_subsets, lex_least_optimum
 
 
 def test_n3_strict_everything_fits():
@@ -61,7 +59,7 @@ def test_exactness_against_brute_force():
         )
         mode = rng.choice(["strict", "weak"])
         k = rng.choice([2, 3])
-        assert max_cross_free(fam, k, mode).size == brute_force_max(fam, k, mode)
+        assert max_cross_free(fam, k, mode).size == len(lex_least_optimum(fam, k, mode))
 
 
 def test_lexicographically_least_optimum():
@@ -73,23 +71,6 @@ def test_lexicographically_least_optimum():
     # pairwise non-crossing and lex-precede most 2-sets in canonical order).
     non_pairs = [m for m in all_subsets(4).sets if m.bit_count() != 2]
     assert all(m in result.best.sets for m in non_pairs)
-
-
-def lex_least_optimum(fam, k, mode, top=None):
-    """First witness-free subfamily in combinations order, largest size
-    first, starting at size top (default: every set)."""
-    sets = fam.sets
-    crossing = {
-        pair for pair in combinations(range(len(sets)), 2)
-        if crosses(sets[pair[0]], sets[pair[1]], fam.ground, mode)
-    }
-    for size in range(len(sets) if top is None else top, -1, -1):
-        for combo in combinations(range(len(sets)), size):
-            if not any(
-                all(pair in crossing for pair in combinations(group, 2))
-                for group in combinations(combo, k)
-            ):
-                return tuple(sets[i] for i in combo)
 
 
 @st.composite
@@ -215,11 +196,8 @@ def symmetric_universes(draw, max_n=6, max_sets=16):
 def test_symmetric_universes_match_oracles(case):
     fam, k, mode = case
     result = max_cross_free(fam, k, mode)
-    size = brute_force_max(fam, k, mode)
-    assert result.size == size
-    # Above the optimum size every subfamily has a witness, so the
-    # oracle may start at that size.
-    assert result.best.sets == lex_least_optimum(fam, k, mode, size)
+    best = lex_least_optimum(fam, k, mode)
+    assert (result.best.sets, result.size) == (best, len(best))
 
 
 TABLE_CASES = [

@@ -369,6 +369,35 @@ def test_chain_order_binds_only_at_level_1(monkeypatch):
     assert len(binding) >= 100 and set(binding) == {1}
 
 
+def test_chain_filter_drops_a_child_below_depth_0(monkeypatch):
+    # Level 2, root 0: the depth-0 S-sets {0-4,15,18} and {0-3,15} nest,
+    # but the depth-1 ones {0-4,15,18,19} and {0-3,10-15,21} do not, so
+    # the filter there keeps one child. Filtering at depth 0 alone keeps
+    # both, and build_tree's final validate_tree fails on T5.
+    bases = ["-", "10", "11", "12", "13", "14", "15", "15,24", "15,18", "15,18,19",
+             "10,11,12,13,14,15", "10,11,12,13,14,15,21", "10,11,12,13,14,15,21,22"]
+    cc = parse_chain_collection(
+        "n 26\n"
+        + "".join(f"chain {base}; 0,1,2,3,4,5\n" for base in bases)
+        + "chain 19,20,21,22,23,25; 0,5,2,3,4,1\n"
+    )
+    longest = tree_module._longest_chain
+    dropped = []
+
+    def recorded(sets):
+        sets = list(sets)
+        members = longest(sets)
+        dropped.extend(s for s in sets if s not in members)
+        return members
+
+    monkeypatch.setattr(tree_module, "_longest_chain", recorded)
+    res = build_tree(cc, range(14), Ordering.natural(26), 2, 1)
+    grandchild = TreeNode(9, 5, ())
+    assert res.tree.root == TreeNode(0, None, (TreeNode(8, 5, (grandchild,)),))
+    assert res.per_root[0] == "ok"
+    assert mask_of([0, 1, 2, 3, *range(10, 16), 21]) in dropped
+
+
 @pytest.mark.parametrize("height", range(5))
 def test_build_tree_reports_every_selected_root(height):
     # Height 3 fails on the nested16 chains; every level excludes some roots.
