@@ -101,7 +101,8 @@ class SuccessorGraph:
 
 
 def successor_graph(fam: Family) -> SuccessorGraph:
-    """All and only the single-element-extension edges of the family."""
+    """All and only the single-element-extension edges of the family. The
+    targets of a set share one size, so their indices ascend with x."""
     index = {m: i for i, m in enumerate(fam.sets)}
     n = fam.ground.n
     out = []
@@ -112,7 +113,7 @@ def successor_graph(fam: Family) -> SuccessorGraph:
                 j = index.get(m | 1 << x)
                 if j is not None:
                     targets.append(j)
-        out.append(tuple(sorted(targets)))
+        out.append(tuple(targets))
     return SuccessorGraph(fam, tuple(out))
 
 
@@ -250,14 +251,9 @@ def extract_disjoint_chains(fam: Family, h: int) -> ChainCollection:
             continue
         for i in found:
             closed[i] = True
-        base = fam.sets[found[0]]
-        added = []
-        m = base
-        for i in found[1:]:
-            step = fam.sets[i] & ~m
-            added.append(step.bit_length() - 1)
-            m = fam.sets[i]
-        chains.append(Chain(base, tuple(added)))
+        path = [fam.sets[i] for i in found]
+        added = tuple((b ^ a).bit_length() - 1 for a, b in zip(path, path[1:]))
+        chains.append(Chain(path[0], added))
     return ChainCollection(fam.ground, tuple(chains))
 
 

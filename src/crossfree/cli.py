@@ -84,7 +84,7 @@ def _parse_indices(text: str) -> tuple[int, ...]:
         try:
             indices.append(parse_natural(tok.strip()))
         except ValueError:
-            raise ValueError(f"bad index {tok!r}: expected comma-separated integers or '-'") from None
+            raise ValueError(f"bad index {tok!r}: expected comma-separated natural numbers of ASCII digits or '-'") from None
     return tuple(indices)
 
 

@@ -33,6 +33,16 @@ def random_graph(rng, n, p):
     return adj
 
 
+def brute_cliques(adj, cand, k):
+    """The lexicographically least k-clique of the graph ``adj`` inside the
+    vertex mask ``cand``, as a tuple of vertices, or None."""
+    verts = [v for v in range(len(adj)) if cand >> v & 1]
+    for combo in combinations(verts, k):
+        if all(adj[a] >> b & 1 for a, b in combinations(combo, 2)):
+            return combo
+    return None
+
+
 def max_antichain_size(sets):
     """The size of a largest antichain under inclusion, by trying every
     subfamily from the largest size down."""

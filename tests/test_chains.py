@@ -21,7 +21,7 @@ from crossfree.chains import (
     successor_graph,
     weak_reduce,
 )
-from crossfree.constructions import gen_laminar_max, gen_random_cross_free
+from crossfree.constructions import gen_random_cross_free
 from crossfree.crossing import find_pairwise_crossing_witness
 from crossfree.families import Family, GroundSet, mask_of, serialize_family
 
@@ -93,15 +93,12 @@ def test_successor_graph_examples():
 
 
 def test_successor_graph_matches_pair_scan():
-    fam = gen_laminar_max(4)
-    graph = successor_graph(fam)
-    expected = set()
-    for i, a in enumerate(fam.sets):
-        for j, b in enumerate(fam.sets):
-            if a != b and a & ~b == 0 and b.bit_count() == a.bit_count() + 1:
-                expected.add((i, j))
-    got = {(i, j) for i, outs in enumerate(graph.out_edges) for j in outs}
-    assert got == expected
+    # The target lists ascend: extract_disjoint_chains's lex-least path relies on it.
+    fam = Family(GroundSet(5), tuple(range(32)))
+    assert successor_graph(fam).out_edges == tuple(
+        tuple(j for j, b in enumerate(fam.sets) if a & ~b == 0 and b.bit_count() == a.bit_count() + 1)
+        for a in fam.sets
+    )
 
 
 def test_successor_graph_degree_bounds_on_cross_free_families():

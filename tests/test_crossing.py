@@ -31,8 +31,7 @@ from crossfree.families import (
     membership_masks,
     region_tables,
 )
-from crossfree.kernel import find_k_clique_in
-from oracles import max_antichain_size, random_graph
+from oracles import brute_cliques, max_antichain_size, random_graph
 
 
 def two_sets_n4():
@@ -136,14 +135,15 @@ def assert_index_rows_match_pairwise_scan(fam):
 
 
 def pairwise_random_cross_free(n, k, mode, seed):
-    """The generator with one crosses() call per kept set, as the slow oracle."""
+    """The generator with one crosses() call per kept set and brute-force
+    cliques, as the slow oracle."""
     ground = GroundSet(n)
     order = list(range(1 << n))
     random.Random(seed).shuffle(order)
     kept, adj = [], []
     for cand in order:
         nb = sum(1 << i for i, m in enumerate(kept) if crosses(cand, m, ground, mode))
-        if find_k_clique_in(adj, nb, k - 1) is None:
+        if brute_cliques(adj, nb, k - 1) is None:
             for i in range(len(kept)):
                 if nb >> i & 1:
                     adj[i] |= 1 << len(kept)

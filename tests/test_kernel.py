@@ -10,7 +10,7 @@ from crossfree.constructions import gen_cyclic_intervals, gen_laminar_max
 from crossfree.crossing import crossing_graph
 from crossfree.families import Family, GroundSet
 from crossfree.symmetry import set_orbits
-from oracles import all_subsets, random_graph, relabel
+from oracles import all_subsets, brute_cliques, random_graph, relabel
 
 
 def test_python_kernel_basics():
@@ -34,14 +34,6 @@ def test_lex_least_clique():
         adj[a] |= 1 << b
         adj[b] |= 1 << a
     assert kernel.find_k_clique(adj, 3) == (0, 1, 2)
-
-
-def brute_cliques(adj, cand, k):
-    verts = [v for v in range(len(adj)) if cand >> v & 1]
-    for combo in combinations(verts, k):
-        if all(adj[a] >> b & 1 for a, b in combinations(combo, 2)):
-            return combo
-    return None
 
 
 def test_python_kernel_matches_brute_force():
