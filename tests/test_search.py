@@ -2,7 +2,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossfree import crossing, kernel, symmetry
@@ -48,16 +48,27 @@ def assert_matches_oracle(fam, k, mode):
     assert (result.best.sets, result.size) == (best, len(best))
 
 
-def test_seeded_universes_match_oracle():
-    for seed, count, n_range, max_len in ((2, 20, (2, 5), 13), (6, 25, (3, 6), 14)):
-        rng = random.Random(seed)
-        for _ in range(count):
-            n = rng.randrange(*n_range)
-            fam = Family(
-                GroundSet(n), tuple(rng.randrange(1 << n) for _ in range(rng.randrange(1, max_len)))
-            )
-            mode = rng.choice(["strict", "weak"])
-            assert_matches_oracle(fam, rng.choice([2, 3]), mode)
+def seeded_universes(seed, count, n_lo, n_hi, max_sets):
+    """``count`` random (family, k, mode) cases from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(n_lo, n_hi)
+        fam = Family(
+            GroundSet(n), tuple(rng.randrange(1 << n) for _ in range(rng.randrange(1, max_sets)))
+        )
+        mode = rng.choice(["strict", "weak"])
+        yield fam, rng.choice([2, 3]), mode
+
+
+def test_soundness_best_is_witness_free():
+    """Matching the oracle's k-cross-free family proves the answer witness-free."""
+    for case in seeded_universes(2, 20, 2, 5, 13):
+        assert_matches_oracle(*case)
+
+
+def test_exactness_against_brute_force():
+    for case in seeded_universes(6, 25, 3, 6, 14):
+        assert_matches_oracle(*case)
 
 
 def test_lexicographically_least_optimum():
@@ -83,12 +94,21 @@ def small_universes(draw):
 
 @settings(deadline=None, max_examples=300)
 @given(small_universes())
-# The 2-subsets of {0..4} cross when they meet, so at k=4 the doll pass's
-# clique checks must find stars of four pairs; random draws seldom make a
-# universe this dense.
-@example((Family(GroundSet(5), tuple(m for m in range(32) if m.bit_count() == 2)), 4, "strict"))
 def test_best_is_lexicographically_least_optimum(case):
     assert_matches_oracle(*case)
+
+
+def test_search_matches_reference_search():
+    """The search matches the reference, ``lex_least_optimum``, on a dense universe.
+
+    The 2-subsets of {0..4} cross when they meet, so at k=4 the doll pass's
+    clique checks must find stars of four pairs; random draws seldom make a
+    universe this dense.
+    """
+    pairs = Family(GroundSet(5), tuple(m for m in range(32) if m.bit_count() == 2))
+    for k in (2, 3, 4, 5):
+        for mode in ("strict", "weak"):
+            assert_matches_oracle(pairs, k, mode)
 
 
 @st.composite
