@@ -372,7 +372,7 @@ def check_conditions(
     selected,
     ordering: Ordering,
     k: int,
-    min_size_multiplier: int = 3,
+    min_size_multiplier: int,
 ) -> ConditionsReport:
     """Exhaustive verification of C1-C4 over the selected chain indices.
 

@@ -39,7 +39,8 @@ def gen_laminar_max(n: int) -> Family:
 
     split(0, n)
     fam = Family(ground, tuple(masks))
-    assert len(fam) == 2 * n
+    if len(fam) != 2 * n:
+        raise AssertionError
     return fam
 
 
@@ -92,5 +93,6 @@ def gen_random_cross_free(n: int, k: int, mode: str, seed: int) -> Family:
                 masks[e] |= 1 << idx
             tables = region_tables(masks)
     fam = Family(ground, tuple(kept))
-    assert find_pairwise_crossing_witness(fam, k, mode) is None
+    if find_pairwise_crossing_witness(fam, k, mode) is not None:
+        raise AssertionError
     return fam

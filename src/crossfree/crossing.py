@@ -210,7 +210,8 @@ def dilworth_partition(fam: Family) -> ChainDecomposition:
     # Cover = (left not reached) + (right reached); antichain = uncovered elems.
     antichain = tuple(sets[i] for i in elements_of(seen_left & ~seen_right))
     dec = ChainDecomposition(tuple(chains), antichain)
-    assert len(dec.chains) == len(antichain), "Dilworth duality violated"
+    if len(dec.chains) != len(antichain):
+        raise AssertionError("Dilworth duality violated")
     return dec
 
 
@@ -236,7 +237,8 @@ def greedy_independent_set(adj) -> tuple[int, ...]:
     chosen.sort()
     for i, u in enumerate(chosen):
         for v in chosen[i + 1 :]:
-            assert not adj[u] >> v & 1, "greedy independent set is not independent"
+            if adj[u] >> v & 1:
+                raise AssertionError("greedy independent set is not independent")
     return tuple(chosen)
 
 

@@ -137,8 +137,8 @@ def max_cross_free(universe: Family, k: int, mode: str) -> SearchResult:
     best_mask = first(0, full, c[0])
 
     best = Family(universe.ground, tuple(sets[v] for v in elements_of(best_mask)))
-    assert len(best) == c[0]
-    assert find_pairwise_crossing_witness(best, k, mode) is None if c[0] >= k else True
+    if len(best) != c[0] or c[0] >= k and find_pairwise_crossing_witness(best, k, mode) is not None:
+        raise AssertionError
     return SearchResult(best, c[0], nodes)
 
 

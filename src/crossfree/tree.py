@@ -95,7 +95,10 @@ def validate_tree(tree: CrossSupportTree, cc: ChainCollection, ordering: Orderin
     Structural problems (imperfect shape, dangling chain indices, missing
     edge labels) are reported under ``malformed`` and suppress the axiom
     checks. T6's first clause is T4's edge test, reported again as
-    advisory.
+    advisory. T5 compares same-depth nodes u left of v when their paths
+    agree before u's last nonzero entry (any v, if u's path has none):
+    then u is leftmost at its depth below the child of their lowest
+    common ancestor on u's side.
     """
     malformed: list[str] = []
     violations: dict[str, list[str]] = {a: [] for a in TreeReport.AXIOMS}
@@ -103,7 +106,6 @@ def validate_tree(tree: CrossSupportTree, cc: ChainCollection, ordering: Orderin
     n = cc.ground.n
 
     infos = tree.nodes()
-    by_path = dict(infos)
 
     # Structural checks.
     for path, node in infos:
@@ -123,41 +125,37 @@ def validate_tree(tree: CrossSupportTree, cc: ChainCollection, ordering: Orderin
             {k: () for k in advisory},
         )
 
-    # None for a label outside the chain's support, such as one < 0 or >= n.
-    s_vals = {
-        path: cc.chains[node.chain].below.get(node.edge_label) if path else None
-        for path, node in infos
-    }
-
-    # T1-T4 in one preorder pass. T1: labels are ground elements. T2:
-    # incident labels lie in the node's support and child labels strictly
-    # decrease left to right under the ordering. T3: the parent label is
-    # the leftmost child label. T4: along each edge with label x, the member
-    # below x grows strictly; grows[child path] keeps the result for T6.
-    grows: dict[tuple[int, ...], bool] = {}
+    # One preorder pass. T1: labels are ground elements. T2: incident
+    # labels lie in the node's support and child labels strictly decrease
+    # left to right under the ordering. T3: the parent label is the
+    # leftmost child label. T4: along each edge with label x, the member
+    # below x grows strictly. seen[path] holds the node's members below
+    # each label, its S (None at the root and for a label outside the
+    # support, such as one < 0 or >= n) and its T5 prefix length.
+    seen: dict[tuple[int, ...], tuple[dict[int, int], int | None, int]] = {}
+    levels = [[] for _ in range(tree.height())]
     for path, node in infos:
         x = node.edge_label
-        if path and not 0 <= x < n:
-            violations["T1"].append(f"node {path}: edge label {x} outside ground set")
-        elif path and s_vals[path] is None:
-            violations["T2"].append(f"node {path}: parent edge label {x} not in chain support")
+        below = cc.chains[node.chain].below
+        s, run = None, 0
+        if path:
+            parent_below, _, run = seen[path[:-1]]
+            run = len(path) - 1 if path[-1] else run
+            s = below.get(x)
+            if not 0 <= x < n:
+                violations["T1"].append(f"node {path}: edge label {x} outside ground set")
+            elif s is None:
+                violations["T2"].append(f"node {path}: parent edge label {x} not in chain support")
+        seen[path] = (below, s, run)
         labels = [c.edge_label for c in node.children]
-        for idx, lab in enumerate(labels):
-            below_v = cc.chains[node.chain].below.get(lab)
-            if below_v is None:
-                if 0 <= lab < n:
-                    violations["T2"].append(
-                        f"node {path}: child edge label {lab} not in chain support"
-                    )
-                continue
-            child_path = path + (idx,)
-            below_u = s_vals[child_path]
-            if below_u is None:
-                continue  # already a T2 violation
-            grows[child_path] = _strict_subset(below_v, below_u)
-            if not grows[child_path]:
+        for idx, child in enumerate(node.children):
+            lab = child.edge_label
+            below_v, below_u = below.get(lab), cc.chains[child.chain].below.get(lab)
+            if below_v is None and 0 <= lab < n:
+                violations["T2"].append(f"node {path}: child edge label {lab} not in chain support")
+            elif None not in (below_v, below_u) and not _strict_subset(below_v, below_u):
                 violations["T4"].append(
-                    f"edge {path}->{child_path} label {lab}: "
+                    f"edge {path}->{path + (idx,)} label {lab}: "
                     f"{format_set(below_v)} not strictly inside {format_set(below_u)}"
                 )
         for left, right in zip(labels, labels[1:]):
@@ -170,49 +168,48 @@ def validate_tree(tree: CrossSupportTree, cc: ChainCollection, ordering: Orderin
             violations["T3"].append(
                 f"node {path}: parent label {x} != leftmost child label {labels[0]}"
             )
+        if s is None:
+            continue
+        levels[len(path) - 1].append((path, s, run))
 
-    # T5: same-depth pairs through their lowest common ancestor; preorder
-    # lists each depth's paths in sorted order.
-    by_depth: dict[int, list[tuple[int, ...]]] = {}
-    for path in by_path:
-        by_depth.setdefault(len(path), []).append(path)
-    for paths in by_depth.values():
-        for left, right in combinations(paths, 2):
-            common = 0
-            while left[common] == right[common]:
-                common += 1
-            # u must be leftmost within the subtree of its branch child.
-            if any(left[common + 1 :]):
-                continue
-            s_left, s_right = s_vals[left], s_vals[right]
-            if s_left is not None and s_right is not None and s_right & ~s_left:
-                violations["T5"].append(
-                    f"nodes {left},{right}: S {format_set(s_right)} "
-                    f"not inside S {format_set(s_left)}"
-                )
-
-    # T6 (advisory): leftmost descendants inherit phi and grow S strictly.
-    for path, node in infos[1:]:
-        x = node.edge_label
-        s_v = s_vals[path]
-        if not grows.get(path, True):
+        # T6 (advisory): leftmost descendants inherit phi and grow S strictly.
+        member = parent_below.get(x)
+        if member is not None and not _strict_subset(member, s):
             advisory["T6"].append(f"node {path}: parent member below {x} not strictly inside S")
-        desc = path
-        while True:
-            d_node = by_path[desc]
+        desc, d_node = path, node
+        while d_node.children:
+            desc, d_node = desc + (0,), d_node.children[0]
             if d_node.edge_label != x:
                 advisory["T6"].append(f"nodes {path},{desc}: phi not inherited on leftmost path")
                 break
-            s_u = s_vals[desc]
-            if s_v is None or s_u is None:
+            s_u = cc.chains[d_node.chain].below.get(x)
+            if s_u is None:
                 break
-            if desc != path and not _strict_subset(s_v, s_u):
+            if not _strict_subset(s, s_u):
                 advisory["T6"].append(
                     f"nodes {path},{desc}: S does not grow strictly along leftmost path"
                 )
-            if d_node.is_leaf:
-                break
-            desc = desc + (0,)
+        # T8 (advisory): S strictly larger on descendants.
+        for cut in range(1, len(path)):
+            s_anc = seen[path[:cut]][1]
+            if s_anc is not None and not s_anc.bit_count() < s.bit_count():
+                advisory["T8"].append(
+                    f"nodes {path[:cut]},{path}: |S| does not increase ({s_anc.bit_count()}"
+                    f" -> {s.bit_count()})"
+                )
+
+    # T5: S of u holds S of each v compared with it, which come right after u.
+    for level in levels:
+        for i, (left, s_left, run) in enumerate(level):
+            prefix = left[:run]
+            for right, s_right, _ in level[i + 1 :]:
+                if right[:run] != prefix:
+                    break
+                if s_right & ~s_left:
+                    violations["T5"].append(
+                        f"nodes {left},{right}: S {format_set(s_right)} "
+                        f"not inside S {format_set(s_left)}"
+                    )
 
     # T7 (advisory): all members of all used chains pairwise intersect;
     # equivalent to pairwise intersecting chain bases.
@@ -220,19 +217,6 @@ def validate_tree(tree: CrossSupportTree, cc: ChainCollection, ordering: Orderin
     for ci, cj in combinations(used, 2):
         if not cc.chains[ci].base & cc.chains[cj].base:
             advisory["T7"].append(f"chains {ci},{cj}: bases disjoint")
-
-    # T8 (advisory): S strictly larger on descendants.
-    for path in by_path:
-        for cut in range(1, len(path)):
-            anc = path[:cut]
-            s_anc, s_desc = s_vals[anc], s_vals[path]
-            if s_anc is None or s_desc is None:
-                continue
-            if not s_anc.bit_count() < s_desc.bit_count():
-                advisory["T8"].append(
-                    f"nodes {anc},{path}: |S| does not increase ({s_anc.bit_count()}"
-                    f" -> {s_desc.bit_count()})"
-                )
 
     return TreeReport(
         tuple(malformed),

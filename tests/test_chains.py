@@ -284,7 +284,7 @@ def test_select_incomparable_below_forces_exclusion():
 def test_check_conditions_empty_selection_vacuous():
     g = GroundSet(4)
     cc = ChainCollection(g, (Chain(0b1, (1,)),))
-    rep = check_conditions(cc, (), Ordering.natural(4), 3)
+    rep = check_conditions(cc, (), Ordering.natural(4), 3, 3)
     assert rep.all_pass
 
 

@@ -8,7 +8,8 @@ function, class or constant must be read, or imported, by another
 top-level statement of ``src/``, so a helper kept only for tests fails.
 The test oracles in ``tests/oracles.py`` import no ``crossfree`` module
 but ``crossfree.families``, so they share no code with the layers they
-check.
+check. The package holds no ``assert`` statement, which ``python -O``
+would strip: its self-checks raise ``AssertionError`` explicitly.
 """
 
 import ast
@@ -126,3 +127,13 @@ def test_scan_finds_crossfree_imports():
 
 def test_oracles_import_only_families():
     assert set(crossfree_imports(ORACLES.read_text())) == {"crossfree.families"}
+
+
+def test_no_assert_statement_in_package():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -17,7 +17,7 @@ from crossfree.chains import (
     parse_chain_collection,
     parse_ordering,
 )
-from crossfree.families import Family, GroundSet, classify_pair, mask_of
+from crossfree.families import Family, GroundSet, classify_pair, format_set, mask_of
 from crossfree.tree import (
     _longest_chain,
     _strict_subset,
@@ -496,6 +496,72 @@ def test_validate_mutants_match_golden():
         assert json.dumps(report.as_dict(), sort_keys=True) == line, f"mutant {seed}"
         violated.update(ax for ax, msgs in {**report.violations, **report.advisory}.items() if msgs)
     assert violated >= {"T1", "T2", "T3", "T4", "T5", "T6", "T8"}
+
+
+def t5_all_pairs(tree, cc):
+    """T5's messages by the definition: every same-depth pair u left of v,
+    taken through their lowest common ancestor, where u is leftmost at its
+    depth below that ancestor's child on u's side."""
+    s_vals = {
+        path: cc.chains[node.chain].below.get(node.edge_label) if path else None
+        for path, node in tree.nodes()
+    }
+    by_depth = {}
+    for path in s_vals:
+        by_depth.setdefault(len(path), []).append(path)
+    out = []
+    for paths in by_depth.values():
+        for left, right in combinations(paths, 2):
+            common = 0
+            while left[common] == right[common]:
+                common += 1
+            if any(left[common + 1 :]):
+                continue
+            s_left, s_right = s_vals[left], s_vals[right]
+            if s_left is not None and s_right is not None and s_right & ~s_left:
+                out.append(
+                    f"nodes {left},{right}: S {format_set(s_right)} "
+                    f"not inside S {format_set(s_left)}"
+                )
+    return out
+
+
+def random_wide_tree(rng):
+    """A perfect tree of height 1-2 and branching 2-6 with random chain
+    indices and labels over chains that each hold a private element, so
+    their members differ, and add random elements of one shared pool."""
+    n, count = 12, 4
+    pool = range(count, n)
+    chains = []
+    for i in range(count):
+        added = rng.sample(pool, rng.randrange(2, len(pool) + 1))
+        filler = [e for e in pool if e not in added and rng.random() < 0.5]
+        chains.append(Chain(mask_of([i, *filler]), tuple(added)))
+    height, branching = rng.randrange(1, 3), rng.randrange(2, 7)
+
+    def build(depth, label):
+        children = ()
+        if depth < height:
+            children = tuple(build(depth + 1, rng.randrange(-1, n + 1)) for _ in range(branching))
+        return TreeNode(rng.randrange(count), label, children)
+
+    cc = ChainCollection(GroundSet(n), tuple(chains))
+    return CrossSupportTree(build(0, None)), cc, Ordering.natural(n)
+
+
+def test_t5_matches_all_pairs_definition():
+    # validate_tree scans each depth's paths in sorted order and compares u
+    # only with the paths right after it that agree with u's before u's
+    # last nonzero entry; the oracle takes every pair through its ancestor.
+    rng = random.Random(5)
+    messages = 0
+    for _ in range(60):
+        tree, cc, ordering = random_wide_tree(rng)
+        report = validate_tree(tree, cc, ordering)
+        assert not report.malformed
+        assert list(report.violations["T5"]) == t5_all_pairs(tree, cc)
+        messages += len(report.violations["T5"])
+    assert messages >= 300
 
 
 any_int = st.one_of(st.integers(-2, 10), st.integers(), st.integers(min_value=2**64))
