@@ -104,15 +104,17 @@ def successor_graph(fam: Family) -> SuccessorGraph:
     """All and only the single-element-extension edges of the family. The
     targets of a set share one size, so their indices ascend with x."""
     index = {m: i for i, m in enumerate(fam.sets)}
-    n = fam.ground.n
+    full = fam.ground.full_mask
     out = []
     for m in fam.sets:
         targets = []
-        for x in range(n):
-            if not m >> x & 1:
-                j = index.get(m | 1 << x)
-                if j is not None:
-                    targets.append(j)
+        lacks = full ^ m
+        while lacks:
+            low = lacks & -lacks
+            lacks ^= low
+            j = index.get(m | low)
+            if j is not None:
+                targets.append(j)
         out.append(tuple(targets))
     return SuccessorGraph(fam, tuple(out))
 
@@ -161,10 +163,11 @@ class ChainCollection:
         seen: set[int] = set()
         for c in self.chains:
             for m in c.members:
-                self.ground.check_mask(m)
                 if m in seen:
                     raise ValueError(f"chains share member {format_set(m)}")
                 seen.add(m)
+            # Members are nested, so the top one holds every bit of the rest.
+            self.ground.check_mask(c.members[-1])
 
     def __len__(self):
         return len(self.chains)
@@ -424,7 +427,15 @@ def parse_chain_collection(text: str) -> ChainCollection:
         base = parse_set_line(base_txt, ground, lineno)
         if not added_txt:
             raise FamilyFormatError("chain has no added elements", lineno)
-        added = tuple(parse_element(tok, ground, lineno) for tok in added_txt.split(","))
+        toks = added_txt.split(",")
+        try:  # int() under parse_set_line's rule; parse_element names any error
+            if not added_txt.isascii() or "-" in added_txt or "+" in added_txt or "_" in added_txt:
+                raise ValueError
+            added = tuple(map(int, toks))
+            if max(added) >= ground.n:
+                raise ValueError
+        except ValueError:
+            added = tuple(parse_element(tok, ground, lineno) for tok in toks)
         try:
             chains.append(Chain(base, added))
         except ValueError as exc:

@@ -11,7 +11,7 @@ import random
 
 from . import kernel
 from .crossing import find_pairwise_crossing_witness
-from .families import Family, GroundSet, crossing_row, elements_of, mask_of, region_tables
+from .families import Family, GroundSet, add_to_tables, crossing_row, elements_of, mask_of, region_tables
 
 # Largest n for gen_random_cross_free, which lists all 2^n subsets.
 MAX_RANDOM_GROUND = 20
@@ -62,9 +62,10 @@ def gen_random_cross_free(n: int, k: int, mode: str, seed: int) -> Family:
     Iterates the 2^n subsets in a seed-shuffled order and keeps a subset
     whenever it does not complete k pairwise-crossing members; each
     candidate's crossing neighbours among the kept sets are one row of their
-    region tables, rebuilt whenever a set is kept. The output is re-verified
-    witness-free before returning. n is capped at MAX_RANDOM_GROUND, checked
-    before the 2^n candidates are listed.
+    region tables, which each kept set extends in place. The output is
+    re-verified witness-free before returning; that re-check still runs on
+    the same clique kernel, with no independent certificate. n is capped at
+    MAX_RANDOM_GROUND, checked before the 2^n candidates are listed.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -76,8 +77,7 @@ def gen_random_cross_free(n: int, k: int, mode: str, seed: int) -> Family:
     order = list(range(1 << n))
     random.Random(seed).shuffle(order)
     kept: list[int] = []
-    masks = [0] * n  # membership index of kept, by insertion index
-    tables = region_tables(masks)
+    tables = region_tables([0] * n)  # of kept, by insertion index
     adj: list[int] = []  # crossing adjacency among kept, by insertion index
     for cand in order:
         nb = crossing_row(cand, tables, mode)
@@ -89,9 +89,7 @@ def gen_random_cross_free(n: int, k: int, mode: str, seed: int) -> Family:
                 adj[u] |= 1 << idx
             adj.append(nb)
             kept.append(cand)
-            for e in elements_of(cand):
-                masks[e] |= 1 << idx
-            tables = region_tables(masks)
+            add_to_tables(tables, cand, idx, ground.full_mask)
     fam = Family(ground, tuple(kept))
     if find_pairwise_crossing_witness(fam, k, mode) is not None:
         raise AssertionError

@@ -89,9 +89,11 @@ class Family:
     sets: tuple[int, ...]
 
     def __post_init__(self):
-        for m in self.sets:
-            self.ground.check_mask(m)
-        canon = tuple(sorted(set(self.sets), key=canonical_key))
+        if self.sets and (min(self.sets) < 0 or max(self.sets) > self.ground.full_mask):
+            for m in self.sets:  # names the first bad mask
+                self.ground.check_mask(m)
+        # By value, then stably by size: the order of canonical_key.
+        canon = tuple(sorted(sorted(set(self.sets)), key=int.bit_count))
         object.__setattr__(self, "sets", canon)
 
     def __len__(self):
@@ -170,6 +172,23 @@ def region_tables(masks) -> list[tuple[list[int], list[int]]]:
         reps = 16 // len(ors)
         tables.append((ors * reps, ands * reps))
     return tables
+
+
+def add_to_tables(tables, a: int, i: int, full: int) -> None:
+    """Add set a as member i to ``region_tables`` in place: in each run,
+    ors[v] gains bit i when v meets a, and ands[v] when v has no element
+    outside a. The outside stops at full, the ground set's mask, so a short
+    last run reads only its own elements."""
+    bit = 1 << i
+    inside, outside = a, full ^ a
+    for ors, ands in tables:
+        for v in range(1, 16):
+            if v & inside:
+                ors[v] |= bit
+            if not v & outside:
+                ands[v] |= bit
+        inside >>= 4
+        outside >>= 4
 
 
 def crossing_row(a: int, tables, mode: str) -> int:

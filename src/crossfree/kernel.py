@@ -11,7 +11,8 @@ bound colors the whole candidate set once, at entry; the spine of roots
 is never bounded again. Inside a root's subtree every node that still
 needs more than two vertices colors its own candidates, starting with the
 root's neighbors, a much smaller set than the live one. k=2 is a scan for
-the lex-least edge, one AND per vertex and no stack.
+the lex-least edge, one AND per vertex and no stack; so is every node
+that needs two more vertices.
 
 ``find_k_clique`` may also take the graph's orbits for orbital fixing
 (Margot, "Exploiting orbits in symmetric ILP", Math. Program. 98, 2003);
@@ -50,7 +51,7 @@ def _color_bound(adj, cand: int, need: int) -> int:
 
 # find_k_clique asks for orbits once the refuted roots' subtrees together
 # have cost more than this much work per vertex of the graph. A node counts
-# 1, plus the size of its candidate set when it runs the color bound.
+# 1, plus its candidate count when it runs the color bound or the k=2 scan.
 _FIX_AFTER = 16
 
 
@@ -67,9 +68,11 @@ def _search(adj, live: int, k: int, orbits=None):
     exclude spine: it takes the live roots in index order and runs the
     include-first DFS in each root's subtree, where every node that needs
     more than two vertices bounds its candidates, from the root's own
-    neighbors down; the spine itself is not bounded. A refuted root v lies
-    in no k-clique, as every lower root has left the live set for lying in
-    none. With orbits (passed only with every vertex live), an
+    neighbors down; the spine itself is not bounded. A node that needs two
+    vertices runs the k=2 scan on its candidates, all above its clique, for
+    the edge its subtree would find first, and costs 1 + |cand|. A refuted
+    root v lies in no k-clique, as every lower root has left the live set
+    for lying in none. With orbits (passed only with every vertex live), an
     automorphism maps k-cliques to k-cliques, so v's whole orbit leaves
     the live roots; the clique found is still the lex-least one. Finding
     the orbits costs a group search, so orbits() is called at most once,
@@ -108,10 +111,14 @@ def _search(adj, live: int, k: int, orbits=None):
             size = cand.bit_count()
             if size < need:
                 continue
-            if need > 2:
-                spent += size
-                if _color_bound(adj, cand, need) < need:
-                    continue
+            spent += size
+            if need == 2:
+                edge = _search(adj, cand, 2)
+                if edge is not None:
+                    return elements_of(clique) + edge
+                continue
+            if _color_bound(adj, cand, need) < need:
+                continue
             low = cand & -cand
             rest = cand ^ low
             # Pushed last, the include child is explored first.

@@ -78,6 +78,8 @@ def max_cross_free(universe: Family, k: int, mode: str) -> SearchResult:
     optimum.
 
     ``nodes_explored`` counts the nodes ``first`` pops in both passes.
+    The result's size and k-cross-freeness are re-checked, the latter still
+    on the same clique kernel, with no independent certificate.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")

@@ -23,7 +23,16 @@ from crossfree.chains import (
 )
 from crossfree.constructions import gen_random_cross_free
 from crossfree.crossing import find_pairwise_crossing_witness
-from crossfree.families import Family, GroundSet, mask_of, serialize_family
+from crossfree.families import (
+    Family,
+    FamilyFormatError,
+    GroundSet,
+    mask_of,
+    parse_element,
+    parse_set_line,
+    serialize_family,
+    split_header,
+)
 
 
 def test_weak_reduce_all_subsets_n3():
@@ -165,6 +174,13 @@ def test_chain_collection_rejects_shared_members():
     g = GroundSet(4)
     with pytest.raises(ValueError, match="share"):
         ChainCollection(g, (Chain(0b1, (1,)), Chain(0b1, (2,))))
+
+
+def test_chain_collection_rejects_member_outside_ground_set():
+    g = GroundSet(4)
+    for base, added in ((0b1, (4,)), (0b10000, (0, 1)), (-1 << 8, (0,)), (0b1, (1, 2, 5))):
+        with pytest.raises(ValueError, match="outside ground set"):
+            ChainCollection(g, (Chain(0b10, (3,)), Chain(base, added)))
 
 
 def test_extract_example():
@@ -333,6 +349,56 @@ def test_chain_file_roundtrip():
     again = parse_chain_collection(text)
     assert [(c.base, c.added) for c in again.chains] == [(c.base, c.added) for c in cc.chains]
     assert serialize_chain_collection(again) == text
+
+
+def loop_parse_chain_collection(text):
+    """parse_chain_collection with one parse_element call per added
+    element, as the slow oracle."""
+    ground, body = split_header(text)
+    chains = []
+    for lineno, line in body:
+        if not line.startswith("chain "):
+            raise FamilyFormatError(f"expected 'chain <base>; <added>', got {line!r}", lineno)
+        spec = line[len("chain ") :]
+        if ";" not in spec:
+            raise FamilyFormatError("missing ';' between base and added elements", lineno)
+        base_txt, added_txt = (part.strip() for part in spec.split(";", 1))
+        base = parse_set_line(base_txt, ground, lineno)
+        if not added_txt:
+            raise FamilyFormatError("chain has no added elements", lineno)
+        added = tuple(parse_element(tok, ground, lineno) for tok in added_txt.split(","))
+        try:
+            chains.append(Chain(base, added))
+        except ValueError as exc:
+            raise FamilyFormatError(str(exc), lineno) from None
+    return ChainCollection(ground, tuple(chains))
+
+
+def _chain_outcome(parse, text):
+    try:
+        return "ok", [(c.base, c.added) for c in parse(text).chains]
+    except ValueError as exc:  # a shared member raises a plain ValueError
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+
+
+def test_parse_chain_collection_matches_per_token_loop():
+    # Plain lists, spaces, empty tokens (2,,3), signs, '_', a non-ASCII
+    # digit, hex, elements >= n, and repeats of an added or a base element.
+    tokens = ["0", "1", "2", "3", " 4", "5 ", "9", "12", "", " ", "+3", "-1", "1_0", "\u0663", "0x1", "07"]
+    rng = random.Random(34)
+    outcomes = set()
+    for _ in range(3000):
+        n = rng.randrange(1, 13)
+        lines = [f"n {n}"]
+        for _ in range(rng.randrange(1, 4)):
+            base = rng.choice(["-", "0", "1", "0,2", "3,5"])
+            added = ",".join(rng.choice(tokens) for _ in range(rng.randrange(1, 5)))
+            lines.append(f"chain {base}; {added}")
+        text = "\n".join(lines) + "\n"
+        expected = _chain_outcome(loop_parse_chain_collection, text)
+        assert _chain_outcome(parse_chain_collection, text) == expected, text
+        outcomes.add(expected[0] if expected[0] == "ok" else expected[1].split()[0])
+    assert outcomes == {"ok", "malformed", "element", "added", "chain", "chains"}
 
 
 def test_ordering_file_roundtrip():

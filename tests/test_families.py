@@ -11,6 +11,8 @@ from crossfree.families import (
     FamilyFormatError,
     GroundSet,
     PairRelation,
+    add_to_tables,
+    canonical_key,
     classify_pair,
     complement_closure,
     crosses,
@@ -56,6 +58,24 @@ def test_family_canonical_order_and_dedup():
 def test_family_rejects_out_of_range_mask():
     with pytest.raises(ValueError):
         Family(GroundSet(2), (0b100,))
+
+
+def test_family_names_the_first_bad_mask_in_input_order():
+    with pytest.raises(ValueError, match="mask 0x10 has bits outside"):
+        Family(GroundSet(3), (0b1, 0b10000, 0b1000, 0b10))
+    with pytest.raises(ValueError, match="mask 0x8 has bits outside"):
+        Family(GroundSet(3), (0b1000, 0b1, 0b10000))
+
+
+def test_family_rejects_negative_mask():
+    with pytest.raises(ValueError, match="mask -0x1 has bits outside"):
+        Family(GroundSet(3), (0b1, -1))
+
+
+@given(st.integers(1, 64).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1)))))
+def test_family_order_is_canonical_key_order(case):
+    n, sets = case
+    assert Family(GroundSet(n), tuple(sets)).sets == tuple(sorted(set(sets), key=canonical_key))
 
 
 def test_classify_pair_cases():
@@ -319,6 +339,27 @@ def test_crossing_row_matches_loop(case):
     weak = inter & beyond & ~within
     assert crossing_row(a, tables, "weak") == weak
     assert crossing_row(a, tables, "strict") == weak & outside
+
+
+def test_add_to_tables_matches_rebuilt_tables():
+    # Every n from 1 to 64 covers each short last run (n % 4) and the word
+    # size; the empty and the full set are always among the members.
+    rng = random.Random(34)
+    for n in range(1, 65):
+        full = (1 << n) - 1
+        sets = [0, full] + [rng.getrandbits(n) for _ in range(rng.randrange(0, 70))]
+        rng.shuffle(sets)
+        tables = region_tables([0] * n)
+        for i, a in enumerate(sets):
+            add_to_tables(tables, a, i, full)
+            if i % 16 == 0 or i == len(sets) - 1:
+                assert tables == region_tables(loop_membership_masks(sets[: i + 1], n)), (n, i)
+        masks = loop_membership_masks(sets, n)
+        for a in [0, full] + [rng.getrandbits(n) for _ in range(8)]:
+            inter, beyond, within, outside = loop_set_regions(a, masks)
+            weak = inter & beyond & ~within
+            assert crossing_row(a, tables, "weak") == weak
+            assert crossing_row(a, tables, "strict") == weak & outside
 
 
 def loop_parse_set_line(line, ground, lineno=None):

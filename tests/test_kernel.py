@@ -91,6 +91,16 @@ def test_k2_scan_returns_the_least_edge(query):
         assert kernel.find_k_clique(adj, 2, orbits) == edge
 
 
+@settings(deadline=None, max_examples=300)
+@given(edge_queries(), st.integers(3, 5))
+def test_kernel_matches_brute_force_on_graphs_with_self_loops(query, k):
+    # The DFS answers each node that needs two more vertices with the k=2
+    # scan, which must ignore self-loops there too.
+    adj, cand = query
+    assert kernel.find_k_clique_in(adj, cand, k) == brute_cliques(adj, cand, k)
+    assert kernel.find_k_clique(adj, k) == brute_cliques(adj, (1 << len(adj)) - 1, k)
+
+
 def test_complete_graph_deeper_than_recursion_limit():
     n = 1100
     full = (1 << n) - 1
@@ -176,8 +186,8 @@ def test_strict_intervals_n24_clique_number_is_12():
 def refuted_root_work(adj, k):
     """The work of each root of the plain spine, on a graph with no k-clique,
     counted as the kernel's fetch budget counts it: 1 per node, plus the
-    candidate count of each node that runs the color bound. Also returns the
-    number of color bounds run."""
+    candidate count of each node that runs the color bound or, needing two
+    vertices, the edge scan. Also returns the number of color bounds run."""
     n = len(adj)
     work, bounds = [], 0
     for v in range(n - k + 1):
@@ -186,14 +196,15 @@ def refuted_root_work(adj, k):
         while stack:
             spent += 1
             cand, need = stack.pop()
-            assert need > 0
+            assert need > 1
             if cand.bit_count() < need:
                 continue
-            if need > 2:
-                spent += cand.bit_count()
-                bounds += 1
-                if kernel._color_bound(adj, cand, need) < need:
-                    continue
+            spent += cand.bit_count()
+            if need == 2:
+                continue  # the scan finds no edge: there is no k-clique
+            bounds += 1
+            if kernel._color_bound(adj, cand, need) < need:
+                continue
             low = cand & -cand
             stack.append((cand ^ low, need))
             stack.append(((cand ^ low) & adj[low.bit_length() - 1], need - 1))
