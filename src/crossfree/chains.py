@@ -9,7 +9,7 @@ in the chain's support.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .crossing import (
     dilworth_partition,
@@ -20,6 +20,7 @@ from .families import (
     Family,
     FamilyFormatError,
     GroundSet,
+    _Frozen,
     elements_of,
     format_set,
     membership_masks,
@@ -47,6 +48,8 @@ def weak_reduce(fam: Family, k: int) -> Family:
     For a chosen element x, either the members avoiding x or the
     complements of the members containing x form a weakly-k-cross-free
     family; x is chosen to maximize the retained size, ties to smallest x.
+    Only the input is checked, strictly, on the clique kernel; the output
+    is not re-checked, as no certificate for it exists yet.
     """
     witness = find_pairwise_crossing_witness(fam, k, "strict")
     if witness is not None:
@@ -72,8 +75,7 @@ def weak_reduce(fam: Family, k: int) -> Family:
     return reduced
 
 
-@dataclass(frozen=True)
-class SuccessorGraph:
+class SuccessorGraph(NamedTuple):
     """Directed edges A -> A+{x} inside a family; indices are canonical."""
 
     family: Family
@@ -119,8 +121,7 @@ def successor_graph(fam: Family) -> SuccessorGraph:
     return SuccessorGraph(fam, tuple(out))
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(_Frozen):
     """Continuous chain base < base+{x1} < ... < base+{x1..xh}.
 
     ``members`` (base first), ``support_mask`` (the added elements) and
@@ -128,20 +129,22 @@ class Chain:
     are computed once, on construction.
     """
 
-    base: int
-    added: tuple[int, ...]
+    _fields = ("base", "added")
+    __slots__ = _fields + ("members", "support_mask", "below")
 
-    def __post_init__(self):
-        members = [self.base]
-        m = self.base
-        for x in self.added:
+    def __init__(self, base: int, added: tuple[int, ...]):
+        members = [base]
+        m = base
+        for x in added:
             if m >> x & 1:
                 raise ValueError(f"added element {x} already present")
             m |= 1 << x
             members.append(m)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "added", added)
         object.__setattr__(self, "members", tuple(members))
-        object.__setattr__(self, "support_mask", m & ~self.base)
-        object.__setattr__(self, "below", dict(zip(self.added, members)))
+        object.__setattr__(self, "support_mask", m & ~base)
+        object.__setattr__(self, "below", dict(zip(added, members)))
 
     @property
     def h(self) -> int:
@@ -152,22 +155,22 @@ class Chain:
         return lo, lo + self.h
 
 
-@dataclass(frozen=True)
-class ChainCollection:
+class ChainCollection(_Frozen):
     """Indexed pairwise-disjoint continuous chains over one ground set."""
 
-    ground: GroundSet
-    chains: tuple[Chain, ...]
+    __slots__ = _fields = ("ground", "chains")
 
-    def __post_init__(self):
+    def __init__(self, ground: GroundSet, chains: tuple[Chain, ...]):
         seen: set[int] = set()
-        for c in self.chains:
+        for c in chains:
             for m in c.members:
                 if m in seen:
                     raise ValueError(f"chains share member {format_set(m)}")
                 seen.add(m)
             # Members are nested, so the top one holds every bit of the rest.
-            self.ground.check_mask(c.members[-1])
+            ground.check_mask(c.members[-1])
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "chains", chains)
 
     def __len__(self):
         return len(self.chains)
@@ -190,18 +193,19 @@ class ChainCollection:
         return hs.pop()
 
 
-@dataclass(frozen=True)
-class Ordering:
+class Ordering(_Frozen):
     """Total order on ground elements; perm lists elements most-first."""
 
-    perm: tuple[int, ...]
+    _fields = ("perm",)
+    __slots__ = _fields + ("_pos",)
 
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(len(self.perm))):
+    def __init__(self, perm: tuple[int, ...]):
+        if sorted(perm) != list(range(len(perm))):
             raise ValueError("ordering must be a permutation of 0..n-1")
-        pos = [0] * len(self.perm)
-        for p, x in enumerate(self.perm):
+        pos = [0] * len(perm)
+        for p, x in enumerate(perm):
             pos[x] = p
+        object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "_pos", tuple(pos))
 
     def position(self, x: int) -> int:
@@ -260,11 +264,10 @@ def extract_disjoint_chains(fam: Family, h: int) -> ChainCollection:
     return ChainCollection(fam.ground, tuple(chains))
 
 
-@dataclass
-class SelectionTrace:
+class SelectionTrace(NamedTuple):
     """Chain-index sets after each selection stage: I0, I1, I2, I3 and I."""
 
-    stage_sets: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    stage_sets: dict[str, tuple[int, ...]]
 
 
 def _check_c4_parameters(k: int, min_size_multiplier: int) -> None:
@@ -300,7 +303,7 @@ def select_conditioned_chains(
     h = cc.uniform_h()
     n = cc.ground.n
     rng = random.Random(seed)
-    trace = SelectionTrace()
+    trace = SelectionTrace({})
     all_idx = tuple(range(len(cc)))
     trace.stage_sets["I0"] = all_idx
 
@@ -352,8 +355,7 @@ def select_conditioned_chains(
     return selected, ordering, trace
 
 
-@dataclass(frozen=True)
-class ConditionsReport:
+class ConditionsReport(NamedTuple):
     """Per-condition violation lists, keyed C1-C4; a condition passes when
     its list is empty."""
 

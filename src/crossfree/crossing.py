@@ -8,14 +8,15 @@ search is therefore an exact clique search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
+from typing import NamedTuple
 
 from . import kernel
 from .families import (
     Family,
     GroundSet,
+    _Frozen,
     crosses,
     crossing_row,
     elements_of,
@@ -28,8 +29,7 @@ from .symmetry import set_orbits
 MODES = ("strict", "weak")
 
 
-@dataclass(frozen=True)
-class CrossingGraph:
+class CrossingGraph(NamedTuple):
     """Symmetric adjacency over family indices; adj[i] is a vertex bitmask."""
 
     adj: tuple[int, ...]
@@ -39,35 +39,33 @@ class CrossingGraph:
         return sum(m.bit_count() for m in self.adj) // 2
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Frozen):
     """k sets that pairwise cross under the declared mode; re-verified."""
 
-    ground: GroundSet
-    sets: tuple[int, ...]
-    mode: str
+    __slots__ = _fields = ("ground", "sets", "mode")
 
-    def __post_init__(self):
-        for i, a in enumerate(self.sets):
-            for b in self.sets[i + 1 :]:
-                if not crosses(a, b, self.ground, self.mode):
-                    raise ValueError(
-                        f"witness pair {a:#x},{b:#x} does not cross in {self.mode} mode"
-                    )
+    def __init__(self, ground: GroundSet, sets: tuple[int, ...], mode: str):
+        for i, a in enumerate(sets):
+            for b in sets[i + 1 :]:
+                if not crosses(a, b, ground, mode):
+                    raise ValueError(f"witness pair {a:#x},{b:#x} does not cross in {mode} mode")
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "sets", sets)
+        object.__setattr__(self, "mode", mode)
 
 
-@dataclass(frozen=True)
-class ChainDecomposition:
+class ChainDecomposition(_Frozen):
     """A partition of a family into inclusion chains, with a max antichain."""
 
-    chains: tuple[tuple[int, ...], ...]
-    max_antichain: tuple[int, ...]
+    __slots__ = _fields = ("chains", "max_antichain")
 
-    def __post_init__(self):
-        for chain in self.chains:
+    def __init__(self, chains: tuple[tuple[int, ...], ...], max_antichain: tuple[int, ...]):
+        for chain in chains:
             for a, b in zip(chain, chain[1:]):
                 if not (a & ~b == 0 and a != b):
                     raise ValueError("chain not strictly increasing by inclusion")
+        object.__setattr__(self, "chains", chains)
+        object.__setattr__(self, "max_antichain", max_antichain)
 
 
 def crossing_graph(fam: Family, mode: str) -> CrossingGraph:
@@ -250,8 +248,7 @@ def turan_floor(n_vertices: int, adj) -> int:
     return ceil(Fraction(n_vertices) / (avg + 1))
 
 
-@dataclass(frozen=True)
-class UniformBoundReport:
+class UniformBoundReport(NamedTuple):
     is_uniform: bool
     level: int | None
     bound: Fraction | None

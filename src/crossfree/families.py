@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 MAX_GROUND = 64
 
@@ -35,15 +36,49 @@ class FamilyFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class GroundSet:
+class _Frozen:
+    """Base of the checked value types. ``__init__`` runs the checks and
+    sets each slot once with ``object.__setattr__``; assignment raises
+    afterwards. Equality, hashing, repr and pickling read the constructor
+    fields named in ``_fields``, as a frozen dataclass's would."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # Reads the fields in C: their tuple, or the one field's value.
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, f) for f in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GroundSet(_Frozen):
     """The n-element ground set {0, ..., n-1}."""
 
-    n: int
+    __slots__ = _fields = ("n",)
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_GROUND:
-            raise ValueError(f"ground set size must be in [1, {MAX_GROUND}], got {self.n}")
+    def __init__(self, n: int):
+        if not 1 <= n <= MAX_GROUND:
+            raise ValueError(f"ground set size must be in [1, {MAX_GROUND}], got {n}")
+        object.__setattr__(self, "n", n)
 
     @property
     def full_mask(self) -> int:
@@ -78,23 +113,21 @@ def canonical_key(mask: int) -> tuple[int, int]:
     return (mask.bit_count(), mask)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(_Frozen):
     """A deduplicated family of subsets in canonical order.
 
     The empty set and the full ground set are both legal members.
     """
 
-    ground: GroundSet
-    sets: tuple[int, ...]
+    __slots__ = _fields = ("ground", "sets")
 
-    def __post_init__(self):
-        if self.sets and (min(self.sets) < 0 or max(self.sets) > self.ground.full_mask):
-            for m in self.sets:  # names the first bad mask
-                self.ground.check_mask(m)
+    def __init__(self, ground: GroundSet, sets: tuple[int, ...]):
+        if sets and (min(sets) < 0 or max(sets) > ground.full_mask):
+            for m in sets:  # names the first bad mask
+                ground.check_mask(m)
+        object.__setattr__(self, "ground", ground)
         # By value, then stably by size: the order of canonical_key.
-        canon = tuple(sorted(sorted(set(self.sets)), key=int.bit_count))
-        object.__setattr__(self, "sets", canon)
+        object.__setattr__(self, "sets", tuple(sorted(sorted(set(sets)), key=int.bit_count)))
 
     def __len__(self):
         return len(self.sets)
@@ -219,8 +252,7 @@ def crossing_row(a: int, tables, mode: str) -> int:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-@dataclass(frozen=True)
-class FamilyPredicates:
+class FamilyPredicates(NamedTuple):
     is_chain: bool
     is_continuous_chain: bool
     is_antichain: bool

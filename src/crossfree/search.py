@@ -21,8 +21,8 @@ interval universe exclude both.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
 from math import comb
+from typing import NamedTuple
 
 from . import kernel
 from .constructions import gen_cyclic_intervals
@@ -36,8 +36,7 @@ class SearchInfeasibleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     best: Family
     size: int
     nodes_explored: int
@@ -147,8 +146,7 @@ def max_cross_free(universe: Family, k: int, mode: str) -> SearchResult:
 # --- bound tables -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(NamedTuple):
     n: int
     k: int
     universe: str
@@ -210,9 +208,7 @@ def bound_table(n_values, k_values, universes, mode: str) -> list[BoundRow]:
 
 
 def format_table_text(rows) -> str:
-    grid = [tuple(f.name for f in fields(BoundRow))] + [
-        tuple("-" if v is None else str(v) for v in astuple(r)) for r in rows
-    ]
+    grid = [BoundRow._fields] + [tuple("-" if v is None else str(v) for v in r) for r in rows]
     widths = [max(len(row[i]) for row in grid) for i in range(len(grid[0]))]
     lines = [
         "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
@@ -227,6 +223,6 @@ def format_table_csv(rows) -> str:
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(f.name for f in fields(BoundRow))
-    writer.writerows(("" if v is None else v for v in astuple(r)) for r in rows)
+    writer.writerow(BoundRow._fields)
+    writer.writerows(("" if v is None else v for v in r) for r in rows)
     return buf.getvalue()

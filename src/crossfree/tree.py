@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .chains import Chain, ChainCollection, Ordering
 from .crossing import Witness
@@ -30,8 +30,7 @@ class ExtractionError(ValueError):
     """Witness extraction failed its preconditions or verification."""
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     chain: int
     edge_label: int | None
     children: tuple["TreeNode", ...] = ()
@@ -41,8 +40,7 @@ class TreeNode:
         return not self.children
 
 
-@dataclass(frozen=True)
-class CrossSupportTree:
+class CrossSupportTree(NamedTuple):
     root: TreeNode
 
     def nodes(self):
@@ -65,8 +63,7 @@ class CrossSupportTree:
         return depth
 
 
-@dataclass(frozen=True)
-class TreeReport:
+class TreeReport(NamedTuple):
     """Per-axiom violation lists; T6-T8 are advisory derived checks."""
 
     malformed: tuple[str, ...]
@@ -279,8 +276,7 @@ def extract_k_crossing_from_tree(
     return Witness(cc.ground, tuple(sets), "weak")
 
 
-@dataclass(frozen=True)
-class BuildResult:
+class BuildResult(NamedTuple):
     tree: CrossSupportTree | None
     per_root: dict
 

@@ -27,12 +27,14 @@ from crossfree.families import (
     Family,
     FamilyFormatError,
     GroundSet,
+    crosses,
     mask_of,
     parse_element,
     parse_set_line,
     serialize_family,
     split_header,
 )
+from oracles import brute_cliques
 
 
 def test_weak_reduce_all_subsets_n3():
@@ -86,6 +88,28 @@ def test_weak_reduce_half_size_guarantee():
         reduced = weak_reduce(fam, k)
         assert 2 * len(reduced) >= len(fam)
         assert find_pairwise_crossing_witness(reduced, k, "weak") is None
+
+
+def test_weak_reduce_output_checked_without_kernel():
+    """weak_reduce does not re-check its output. Here it is checked with no
+    code shared with the clique kernel: weak crossings from
+    ``families.crosses``, and ``brute_cliques`` over them. The generator's
+    maximal strictly k-cross-free families are closed under complement, so
+    weak_reduce keeps the members avoiding x on them. Every other input is
+    a random subfamily, also k-cross-free, which can take the complement
+    branch."""
+    rng = random.Random(35)
+    for i in range(200):
+        n = rng.randrange(1, 9)
+        k = rng.choice([2, 3, 4])
+        fam = gen_random_cross_free(n, k, "strict", rng.randrange(10**6))
+        if i % 2:
+            fam = Family(fam.ground, tuple(m for m in fam.sets if rng.random() < 0.5))
+        reduced = weak_reduce(fam, k)
+        sets = reduced.sets
+        adj = [mask_of(j for j, b in enumerate(sets) if crosses(a, b, reduced.ground, "weak")) for a in sets]
+        assert brute_cliques(adj, (1 << len(sets)) - 1, k) is None
+        assert 2 * len(reduced) >= len(fam)
 
 
 def test_successor_graph_examples():

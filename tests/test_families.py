@@ -1,5 +1,4 @@
 import random
-from dataclasses import asdict
 from itertools import combinations
 
 import pytest
@@ -182,7 +181,7 @@ def predicate_families(draw):
 @settings(deadline=None)
 @given(predicate_families())
 def test_family_predicates_match_pairwise_scan(fam):
-    assert asdict(family_predicates(fam)) == pairwise_predicates(fam)
+    assert family_predicates(fam)._asdict() == pairwise_predicates(fam)
 
 
 def test_family_predicates_examples():

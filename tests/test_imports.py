@@ -9,10 +9,14 @@ top-level statement of ``src/``, so a helper kept only for tests fails.
 The test oracles in ``tests/oracles.py`` import no ``crossfree`` module
 but ``crossfree.families``, so they share no code with the layers they
 check. The package holds no ``assert`` statement, which ``python -O``
-would strip: its self-checks raise ``AssertionError`` explicitly.
+would strip: its self-checks raise ``AssertionError`` explicitly. A fresh
+``import crossfree.cli`` loads neither ``dataclasses`` nor ``inspect``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -137,3 +141,16 @@ def test_no_assert_statement_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+START_UP = "import sys, crossfree.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+
+
+def test_cli_start_up_loads_no_dataclasses_or_inspect():
+    """Each CLI call is a fresh process, and these two modules (with the
+    ones only they pull in) were the largest part of the package's import.
+    The check runs in a fresh interpreter, since pytest and hypothesis
+    import both."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-c", START_UP], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
