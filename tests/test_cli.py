@@ -224,13 +224,16 @@ def test_goldens_survive_python_dash_O(tmp_path, command, golden):
 
 
 SELF_CHECKS = """
+import crossfree.constructions
 import crossfree.kernel
 from crossfree.constructions import gen_random_cross_free
 from crossfree.families import Family, GroundSet
 from crossfree.search import max_cross_free
 
 crossfree.kernel.find_k_clique_in = lambda *args: None
+crossfree.constructions._scan_bitsets = lambda order, *args: order
 for call in (
+    lambda: gen_random_cross_free(6, 4, "strict", 0),
     lambda: gen_random_cross_free(6, 3, "strict", 0),
     lambda: max_cross_free(Family(GroundSet(4), tuple(range(16))), 3, "strict").best,
 ):
@@ -242,15 +245,16 @@ for call in (
 
 
 def test_self_checks_survive_python_dash_O():
-    """With a kernel that never finds a clique, the generator and the search
-    return families that are not 3-cross-free; their re-checks must raise
-    under ``python -O`` too."""
+    """With a kernel that never finds a clique, the generator's k >= 4 path
+    and the search, and with a k <= 3 bitset scan that keeps every
+    candidate, the generator at k=3 return families that are not
+    k-cross-free; their re-checks must raise under ``python -O`` too."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     proc = subprocess.run(
         [sys.executable, "-O", "-c", SELF_CHECKS], capture_output=True, text=True, env=env
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "AssertionError\nAssertionError\n"
+    assert proc.stdout == "AssertionError\nAssertionError\nAssertionError\n"
 
 
 # The lex-least 12-witness of the strict intervals n=24 under the general

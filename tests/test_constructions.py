@@ -107,14 +107,30 @@ def test_random_cross_free_not_above_exact_maximum():
         assert len(gen_random_cross_free(4, 2, "strict", seed)) <= cap
 
 
+# n, k, mode, size and a sha256 prefix of the serialization, at seed 3.
+PINNED_RANDOM = [
+    (12, 2, "strict", 44, "c932861fa4dc94e1"),
+    (12, 3, "strict", 68, "03fa0ba569498e0c"),
+    (12, 3, "weak", 40, "bf37455b90ac812b"),
+    (16, 3, "strict", 96, "47350b49415be919"),
+    (16, 2, "weak", 32, "9e8db1a4ee8e7253"),
+    (12, 4, "strict", 94, "94865edfc91fc38a"),
+    (12, 5, "strict", 124, "a0d62d0db9258091"),
+    (12, 6, "strict", 148, "6fe9b68b24ff6f73"),
+]
+
+
 @pytest.mark.parametrize(
-    "k, size, digest",
-    [(4, 94, "94865edfc91fc38a"), (5, 124, "a0d62d0db9258091"), (6, 148, "6fe9b68b24ff6f73")],
+    "n, k, mode, size, digest",
+    PINNED_RANDOM,
+    ids=[f"{k}-{size}-{digest}" for _, k, _, size, digest in PINNED_RANDOM],
 )
-def test_random_cross_free_n12_pinned(k, size, digest):
-    # The generator's k >= 4 path, where every candidate makes a colored
-    # kernel search over its crossing neighbours: the families are pinned
-    # by size and by a prefix of the sha256 of their serialization.
-    fam = gen_random_cross_free(12, k, "strict", 3)
+def test_random_cross_free_n12_pinned(n, k, mode, size, digest):
+    # Seed 3 at sizes the hypothesis comparison with the pairwise generator
+    # does not reach: for k <= 3 the bitset scan over all 2^n subsets, for
+    # k >= 4 a colored kernel search over each candidate's crossing
+    # neighbours. The families are pinned by size and by a prefix of the
+    # sha256 of their serialization.
+    fam = gen_random_cross_free(n, k, mode, 3)
     assert len(fam) == size
     assert hashlib.sha256(serialize_family(fam).encode()).hexdigest()[:16] == digest

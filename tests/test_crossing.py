@@ -162,6 +162,14 @@ def pairwise_random_cross_free(n, k, mode, seed):
 # At n=9 the generator's tables span 3 runs of elements, the last one short.
 @example(9, 3, "strict", 2026)
 @example(9, 2, "weak", 5)
+# The k <= 3 scan's masks over all 2^n subsets: 2 bits at n=1, exactly one
+# byte at n=3, 32 bytes at n=8.
+@example(1, 2, "strict", 0)
+@example(1, 3, "weak", 0)
+@example(3, 2, "weak", 1)
+@example(3, 3, "strict", 1)
+@example(8, 2, "strict", 7)
+@example(8, 3, "weak", 7)
 def test_gen_random_matches_pairwise_generator(n, k, mode, seed):
     assert gen_random_cross_free(n, k, mode, seed) == pairwise_random_cross_free(n, k, mode, seed)
 
