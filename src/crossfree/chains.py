@@ -21,6 +21,7 @@ from .families import (
     FamilyFormatError,
     GroundSet,
     _Frozen,
+    _plain,
     elements_of,
     format_set,
     membership_masks,
@@ -300,6 +301,8 @@ def select_conditioned_chains(
     minimum member is smaller than min_size_multiplier*k*h (C4).
     """
     _check_c4_parameters(k, min_size_multiplier)
+    if seed < 0:  # Random(-s) seeds like Random(s)
+        raise ValueError(f"seed must be >= 0, got {seed}")
     h = cc.uniform_h()
     n = cc.ground.n
     rng = random.Random(seed)
@@ -430,8 +433,8 @@ def parse_chain_collection(text: str) -> ChainCollection:
         if not added_txt:
             raise FamilyFormatError("chain has no added elements", lineno)
         toks = added_txt.split(",")
-        try:  # int() under parse_set_line's rule; parse_element names any error
-            if not added_txt.isascii() or "-" in added_txt or "+" in added_txt or "_" in added_txt:
+        try:  # int() where _plain allows it; parse_element names any error
+            if not _plain(added_txt):
                 raise ValueError
             added = tuple(map(int, toks))
             if max(added) >= ground.n:

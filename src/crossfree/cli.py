@@ -42,7 +42,7 @@ from .chains import (
     weak_reduce,
 )
 from .constructions import gen_cyclic_intervals, gen_laminar_max, gen_random_cross_free
-from .crossing import dilworth_partition, find_pairwise_crossing_witness
+from .crossing import MODES, dilworth_partition, find_pairwise_crossing_witness
 from .families import (
     classify_pair,
     format_set,
@@ -336,7 +336,7 @@ def _arg(*flags, **kwargs):
 
 
 K = _arg("--k", type=_integer, required=True)
-MODE = _arg("--mode", choices=("strict", "weak"), default="strict")
+MODE = _arg("--mode", choices=MODES, default="strict")
 FORMAT = _arg("--format", choices=("text", "json"), default="text")
 FAMILY = _arg("family")
 N = _arg("--n", type=_integer, required=True)

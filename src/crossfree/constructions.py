@@ -10,8 +10,8 @@ from __future__ import annotations
 import random
 
 from . import kernel
-from .crossing import find_pairwise_crossing_witness
-from .families import Family, GroundSet, add_to_tables, crossing_row, elements_of, mask_of, region_tables
+from .crossing import MODES, find_pairwise_crossing_witness
+from .families import Family, GroundSet, crossing_row, elements_of, mask_of, region_tables
 
 # Largest n for gen_random_cross_free, which lists all 2^n subsets.
 MAX_RANDOM_GROUND = 20
@@ -63,9 +63,9 @@ def gen_random_cross_free(n: int, k: int, mode: str, seed: int) -> Family:
     whenever it does not complete k pairwise-crossing members. For k <= 3,
     ``_scan_bitsets`` decides each candidate with one bit test; for k >= 4,
     a kernel search over its crossing row in the kept sets' region tables,
-    which each kept set extends in place. The kernel re-verifies the output
-    before returning; for k <= 3 that re-check shares no code with the scan.
-    n is capped at MAX_RANDOM_GROUND, checked before listing 2^n candidates.
+    rebuilt at each keep. The kernel re-verifies the output before
+    returning; for k <= 3 that re-check shares no code with the scan. n
+    (at most MAX_RANDOM_GROUND), mode and seed are checked before the shuffle.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -74,25 +74,31 @@ def gen_random_cross_free(n: int, k: int, mode: str, seed: int) -> Family:
         raise ValueError(
             f"random generation scans all 2^n subsets; n must be <= {MAX_RANDOM_GROUND}, got {n}"
         )
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if seed < 0:  # Random(-s) seeds like Random(s)
+        raise ValueError(f"seed must be >= 0, got {seed}")
     order = list(range(1 << n))
     random.Random(seed).shuffle(order)
     if k <= 3:
         kept = _scan_bitsets(order, n, k, mode)
     else:
         kept = []
-        tables = region_tables([0] * n)  # of kept, by insertion index
+        index = [0] * n  # membership index of kept, by insertion index
+        tables = region_tables(index)
         adj: list[int] = []  # crossing adjacency among kept, by insertion index
         for cand in order:
             nb = crossing_row(cand, tables, mode)
             # A new k-witness must include cand, i.e. a (k-1)-clique among its
             # crossing neighbors.
             if kernel.find_k_clique_in(adj, nb, k - 1) is None:
-                idx = len(kept)
                 for u in elements_of(nb):
-                    adj[u] |= 1 << idx
+                    adj[u] |= 1 << len(kept)
+                for e in elements_of(cand):
+                    index[e] |= 1 << len(kept)
                 adj.append(nb)
                 kept.append(cand)
-                add_to_tables(tables, cand, idx, ground.full_mask)
+                tables = region_tables(index)
     fam = Family(ground, tuple(kept))
     if find_pairwise_crossing_witness(fam, k, mode) is not None:
         raise AssertionError
@@ -109,8 +115,6 @@ def _scan_bitsets(order: list[int], n: int, k: int, mode: str) -> list[int]:
     neighbours, so refuse is the union of the kept rows for k=2 and the
     subsets crossing both ends of a crossing kept pair for k=3.
     """
-    if mode not in ("strict", "weak"):
-        raise ValueError(f"unknown mode {mode!r}")
     nbytes = ((1 << n) + 7) // 8
     has: list[int] = []
     for j in range(n):  # from 2^j subsets to 2^(j+1), each period doubled

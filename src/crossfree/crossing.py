@@ -8,9 +8,7 @@ search is therefore an exact clique search.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import ceil
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import kernel
 from .families import (
@@ -25,6 +23,9 @@ from .families import (
     region_tables,
 )
 from .symmetry import set_orbits
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MODES = ("strict", "weak")
 
@@ -241,11 +242,11 @@ def greedy_independent_set(adj) -> tuple[int, ...]:
 
 
 def turan_floor(n_vertices: int, adj) -> int:
-    """ceil(|V| / (average degree + 1)); the guaranteed greedy output size."""
+    """ceil(|V| / (average degree + 1)) = ceil(|V|^2 / (|V| + degree sum));
+    the guaranteed greedy output size."""
     if n_vertices == 0:
         return 0
-    avg = Fraction(sum(m.bit_count() for m in adj), n_vertices)
-    return ceil(Fraction(n_vertices) / (avg + 1))
+    return -(-n_vertices * n_vertices // (n_vertices + sum(m.bit_count() for m in adj)))
 
 
 class UniformBoundReport(NamedTuple):
@@ -268,5 +269,6 @@ def uniform_bound_report(fam: Family, k: int) -> UniformBoundReport:
     level = sizes.pop()
     if level == 0:
         return UniformBoundReport(True, 0, None, len(fam), False)
+    from fractions import Fraction  # here only: it costs start-up
     bound = Fraction((k - 1) * fam.ground.n, level)
     return UniformBoundReport(True, level, bound, len(fam), len(fam) > bound)

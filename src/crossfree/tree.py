@@ -494,6 +494,8 @@ def gen_synthetic_tree(
     n = h + (height + 1) * h
     if n > 64:
         raise ValueError("ground set would exceed 64 elements")
+    if seed < 0:  # Random(-s) seeds like Random(s)
+        raise ValueError(f"seed must be >= 0, got {seed}")
     ground = GroundSet(n)
     rng = random.Random(seed)
 

@@ -1004,6 +1004,19 @@ def test_gen_random_large_n_is_usage_error(capsys, n):
     assert "n must be <= 20" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "random", "--n", "6", "--k", "3"],
+    ["gen", "random", "--n", "6", "--k", "4"],
+    ["chains", "select", "--k", "2", "--multiplier", "0", CHAINS],
+])
+def test_negative_seed_is_usage_error(capsys, argv):
+    # random.Random(-s) seeds like Random(s), so -5 would repeat seed 5.
+    code, out, err = run(capsys, *argv, "--seed", "-5")
+    assert out == ""
+    assert_usage_error(code, err)
+    assert err == "error: seed must be >= 0, got -5\n"
+
+
 def test_determinism_byte_identical(capsys):
     first = run(capsys, "gen", "random", "--n", "6", "--k", "3", "--mode", "strict", "--seed", "77")
     second = run(capsys, "gen", "random", "--n", "6", "--k", "3", "--mode", "strict", "--seed", "77")

@@ -3,6 +3,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations
+from math import ceil
 
 import pytest
 from hypothesis import example, given, settings
@@ -59,6 +60,10 @@ def test_unknown_mode_raises():
         lambda: crossing_row(0b11, tables, "loose"),
         # An empty family has no rows, so only crossing_graph's check raises.
         lambda: crossing_graph(Family(fam.ground, ()), "loose"),
+        # The generator checks the mode itself, for the k <= 3 scan and the
+        # k >= 4 kernel path alike.
+        lambda: gen_random_cross_free(4, 3, "loose", 0),
+        lambda: gen_random_cross_free(4, 4, "loose", 0),
     ):
         with pytest.raises(ValueError, match="unknown mode 'loose'"):
             call()
@@ -159,17 +164,20 @@ def pairwise_random_cross_free(n, k, mode, seed):
     st.sampled_from(sorted(_CROSSING_KINDS)),
     st.integers(min_value=0, max_value=2**64 - 1),
 )
-# At n=9 the generator's tables span 3 runs of elements, the last one short.
-@example(9, 3, "strict", 2026)
-@example(9, 2, "weak", 5)
+# At n=9 the k >= 4 path's region tables span 3 runs of elements, the last
+# one short.
+@example(9, 4, "strict", 2026)
+@example(9, 4, "weak", 5)
 # The k <= 3 scan's masks over all 2^n subsets: 2 bits at n=1, exactly one
-# byte at n=3, 32 bytes at n=8.
+# byte at n=3, 32 bytes at n=8, 64 at n=9.
 @example(1, 2, "strict", 0)
 @example(1, 3, "weak", 0)
 @example(3, 2, "weak", 1)
 @example(3, 3, "strict", 1)
 @example(8, 2, "strict", 7)
 @example(8, 3, "weak", 7)
+@example(9, 3, "strict", 2026)
+@example(9, 2, "weak", 5)
 def test_gen_random_matches_pairwise_generator(n, k, mode, seed):
     assert gen_random_cross_free(n, k, mode, seed) == pairwise_random_cross_free(n, k, mode, seed)
 
@@ -345,6 +353,9 @@ def test_turan_floor_random_graphs():
     for _ in range(100):
         n = rng.randrange(1, 40)
         adj = random_graph(rng, n, rng.random())
+        # turan_floor's integer formula against the rational one
+        avg = Fraction(sum(m.bit_count() for m in adj), n)
+        assert turan_floor(n, adj) == ceil(n / (avg + 1))
         assert len(greedy_independent_set(adj)) >= turan_floor(n, adj)
 
 

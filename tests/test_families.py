@@ -10,7 +10,6 @@ from crossfree.families import (
     FamilyFormatError,
     GroundSet,
     PairRelation,
-    add_to_tables,
     canonical_key,
     classify_pair,
     complement_closure,
@@ -338,27 +337,6 @@ def test_crossing_row_matches_loop(case):
     weak = inter & beyond & ~within
     assert crossing_row(a, tables, "weak") == weak
     assert crossing_row(a, tables, "strict") == weak & outside
-
-
-def test_add_to_tables_matches_rebuilt_tables():
-    # Every n from 1 to 64 covers each short last run (n % 4) and the word
-    # size; the empty and the full set are always among the members.
-    rng = random.Random(34)
-    for n in range(1, 65):
-        full = (1 << n) - 1
-        sets = [0, full] + [rng.getrandbits(n) for _ in range(rng.randrange(0, 70))]
-        rng.shuffle(sets)
-        tables = region_tables([0] * n)
-        for i, a in enumerate(sets):
-            add_to_tables(tables, a, i, full)
-            if i % 16 == 0 or i == len(sets) - 1:
-                assert tables == region_tables(loop_membership_masks(sets[: i + 1], n)), (n, i)
-        masks = loop_membership_masks(sets, n)
-        for a in [0, full] + [rng.getrandbits(n) for _ in range(8)]:
-            inter, beyond, within, outside = loop_set_regions(a, masks)
-            weak = inter & beyond & ~within
-            assert crossing_row(a, tables, "weak") == weak
-            assert crossing_row(a, tables, "strict") == weak & outside
 
 
 def loop_parse_set_line(line, ground, lineno=None):

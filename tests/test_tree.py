@@ -169,6 +169,8 @@ def test_synthetic_tree_parameter_guards():
         gen_synthetic_tree(3, 3, 2, 0)
     with pytest.raises(ValueError):
         gen_synthetic_tree(6, 3, 20, 0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        gen_synthetic_tree(1, 2, 2, -1)
 
 
 def test_extract_from_synthetic_tree():
