@@ -21,7 +21,6 @@ from .families import (
     FamilyFormatError,
     GroundSet,
     _Frozen,
-    _plain,
     elements_of,
     format_set,
     membership_masks,
@@ -432,15 +431,7 @@ def parse_chain_collection(text: str) -> ChainCollection:
         base = parse_set_line(base_txt, ground, lineno)
         if not added_txt:
             raise FamilyFormatError("chain has no added elements", lineno)
-        toks = added_txt.split(",")
-        try:  # int() where _plain allows it; parse_element names any error
-            if not _plain(added_txt):
-                raise ValueError
-            added = tuple(map(int, toks))
-            if max(added) >= ground.n:
-                raise ValueError
-        except ValueError:
-            added = tuple(parse_element(tok, ground, lineno) for tok in toks)
+        added = tuple(parse_element(tok, ground, lineno) for tok in added_txt.split(","))
         try:
             chains.append(Chain(base, added))
         except ValueError as exc:

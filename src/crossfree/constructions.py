@@ -1,8 +1,8 @@
 """Generators for extremal and structured fixture families.
 
 The random generator uses Python's ``random.Random`` (Mersenne Twister)
-seeded with the caller's 64-bit seed; identical seeds give identical
-families on every platform.
+seeded with the caller's seed, any integer >= 0; identical seeds give
+identical families on every platform.
 """
 
 from __future__ import annotations

@@ -191,8 +191,10 @@ def dilworth_partition(fam: Family) -> ChainDecomposition:
         chains.append(tuple(chain))
 
     # Koenig cover: alternating reachability from unmatched left vertices.
-    # A reached matched left vertex w entered through its own matched right
-    # vertex, already seen, so masking out seen_right keeps paths alternating.
+    # A matched left vertex w is reached only through its own matched right
+    # vertex v, and masking out seen_right scans each v once, so w is new
+    # when v is. An unmatched v would end an augmenting path; w != -1 keeps
+    # a wrong matching from failing on 1 << -1 before the duality check.
     stack = [u for u in range(n) if match_left[u] == -1]
     seen_left = mask_of(stack)
     seen_right = 0
@@ -203,7 +205,7 @@ def dilworth_partition(fam: Family) -> ChainDecomposition:
             low = m & -m
             m ^= low
             w = match_right[low.bit_length() - 1]
-            if w != -1 and not seen_left >> w & 1:
+            if w != -1:
                 seen_left |= 1 << w
                 stack.append(w)
     # Cover = (left not reached) + (right reached); antichain = uncovered elems.

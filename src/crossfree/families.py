@@ -345,11 +345,6 @@ def parse_element(tok: str, ground: GroundSet, lineno=None) -> int:
     return e
 
 
-def _plain(text: str) -> bool:
-    """Whether int() reads each comma-separated token of text as parse_element does."""
-    return text.isascii() and "-" not in text and "+" not in text and "_" not in text
-
-
 def parse_set_line(line: str, ground: GroundSet, lineno=None) -> int:
     """Parse one set: '-' or comma-separated ascending integers."""
     if line == "-":
@@ -357,7 +352,9 @@ def parse_set_line(line: str, ground: GroundSet, lineno=None) -> int:
     mask = 0
     prev = -1
     n = ground.n
-    plain = _plain(line)  # else parse_element reads each token
+    # int() reads each token as parse_element does unless the line has a
+    # non-ASCII character, a sign or a '_'; then parse_element reads each.
+    plain = line.isascii() and "-" not in line and "+" not in line and "_" not in line
     for tok in line.split(","):
         try:
             e = int(tok) if plain else parse_element(tok, ground, lineno)

@@ -105,6 +105,9 @@ def test_checked_types_compare_every_field():
         (Chain(1, (1,)), Chain(1, (1, 2))),
         (ChainCollection(GroundSet(3), (Chain(1, (1,)),)), ChainCollection(GroundSet(3), ())),
         (Ordering((0, 1)), Ordering((1, 0))),
+        # Values of another class differ, even where the fields match.
+        (Family(g, (3, 6)), Witness(g, (3, 6), "strict")),
+        (g, 4),
     ]
     for a, b in pairs:
         assert a != b and not a == b
